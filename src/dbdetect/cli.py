@@ -1,7 +1,9 @@
 """Command-line front door.
 
 Subcommands: validate, sample, detect, risk, sweep, bounds, chernoff,
-tv-oracle.  Exit codes: 0 success, 1 validation error, 2 capacity error.
+tv-oracle.  Exit codes: 0 success, 1 any package error other than a capacity
+guard (bad input, or a broken internal invariant), 2 capacity error; see
+``dbdetect.errors``.
 All stochastic subcommands are deterministic in --seed, and their outputs do
 not depend on the thread count (DBDETECT_THREADS overrides the default of
 the available parallelism).
@@ -18,12 +20,17 @@ import numpy as np
 from . import config as cfg
 from . import experiments
 from .detectors import count_test, glrt, make_count_plan, np_oracle, sum_test
-from .errors import CapacityError, ValidationError
+from .errors import (
+    CapacityError,
+    DetectionError,
+    InvariantViolationError,
+    ValidationError,
+)
 from .exponents import chernoff_exponent, kl_divergences
 from .models import DatabasePair, sample_alt, sample_null
 
 EXIT_OK = 0
-EXIT_VALIDATION = 1
+EXIT_ERROR = 1
 EXIT_CAPACITY = 2
 
 
@@ -359,9 +366,12 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValidationError as exc:
+    except InvariantViolationError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except DetectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

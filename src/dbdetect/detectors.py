@@ -1,5 +1,5 @@
 """The decision procedures: scan (GLRT), sum, and count tests, plus the
-exact Neyman-Pearson mixture oracle for tiny instances.
+exact Neyman-Pearson mixture oracle for small instances.
 
 Every detector returns a :class:`Verdict` whose ``decision`` is 1 exactly
 when ``statistic >= threshold`` (ties decide "dependent").  All detectors are
@@ -9,7 +9,6 @@ on the hidden permutation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,7 +28,13 @@ from .models import (
     pair_llr_matrix,
 )
 
-NP_ORACLE_MAX_N = 8
+# the mixture oracle's subset DP costs O(2^n n): about 0.8 s and 60 MB at n = 20
+# on a 2-vCPU machine
+NP_ORACLE_MAX_N = 20
+# per-level mask chunk of that DP, which bounds its scratch arrays
+_PERMANENT_CHUNK = 1 << 14
+# weights below 2^-(2^40) of their row maximum are held at that floor
+_PERMANENT_MIN_EXP = -(2.0**40)
 # composition count guard for the exact d-fold convolution tail
 EXACT_TAIL_MAX_TERMS = 2_000_000
 
@@ -291,27 +296,72 @@ def count_test(model: JointModel, pair: DatabasePair, plan: CountTestPlan) -> Ve
     )
 
 
+def _log_permanent_ratio(c: np.ndarray) -> float:
+    """log(perm(exp c) / n!) for a finite square matrix c.
+
+    Subset DP over column sets: f[S] for |S| = k sums f[S - {j}] * exp(c[k-1, j])
+    over j in S, so f[all columns] is the permanent; O(2^n n) work.  Each row
+    is first shifted by its maximum and every value is kept as a mantissa in
+    [0.5, 1) times an integer power of two, so no term underflows however far
+    the best matching sits below the row maxima, and all terms are positive.
+    Normalising by float(n!), exact for n <= 20, makes the all-zero matrix
+    of an independent model give exactly 0.
+    """
+    n = c.shape[0]
+    shift = c.max(axis=1)
+    log2_a = np.maximum((c - shift[:, None]) / math.log(2.0), _PERMANENT_MIN_EXP)
+    a_exp = np.floor(log2_a)
+    a_mant = np.exp2(log2_a - a_exp)
+    a_exp = a_exp.astype(np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    popcount = np.bitwise_count(masks)
+    by_level = np.argsort(popcount, kind="stable")
+    level_start = np.concatenate(([0], np.cumsum(np.bincount(popcount))))
+    mant = np.zeros(1 << n)
+    expo = np.zeros(1 << n, dtype=np.int64)
+    mant[0] = 1.0
+    bits = np.arange(n, dtype=np.int64)
+    for k in range(1, n + 1):
+        row_mant, row_exp = a_mant[k - 1], a_exp[k - 1]
+        for lo in range(level_start[k], level_start[k + 1], _PERMANENT_CHUNK):
+            level = by_level[lo : min(lo + _PERMANENT_CHUNK, level_start[k + 1])]
+            cols = np.nonzero((level[:, None] >> bits) & 1)[1].reshape(-1, k)
+            src = level[:, None] ^ (1 << cols)
+            term_exp = expo[src] + row_exp[cols]
+            top = term_exp.max(axis=1)
+            total = np.ldexp(mant[src] * row_mant[cols], term_exp - top[:, None])
+            level_mant, level_exp = np.frexp(total.sum(axis=1))
+            mant[level] = level_mant
+            expo[level] = top + level_exp
+    fact_mant, fact_exp = math.frexp(float(math.factorial(n)))
+    return (
+        float(shift.sum())
+        + math.log(mant[-1] / fact_mant)
+        + (int(expo[-1]) - fact_exp) * math.log(2.0)
+    )
+
+
 def np_oracle(model: JointModel, pair: DatabasePair) -> Verdict:
     """Exact mixture-likelihood test: average the row-matching likelihood
-    ratio over all n! permutations (log-sum-exp) and threshold at 1.
+    ratio over all n! permutations, perm(exp C) / n! for the all-pairs LLR
+    matrix C, and threshold at 1 (ties decide "dependent").
 
-    This is the average-risk-optimal decision rule; it is enumerable only for
-    n <= 8 and serves as the optimality oracle for the other detectors.
+    This is the average-risk-optimal decision rule.  The permanent comes from
+    a subset DP over column sets (O(2^n n), see ``_log_permanent_ratio``), so
+    the oracle supports n <= ``NP_ORACLE_MAX_N`` and serves as the
+    optimality yardstick for the other detectors.
     """
     _require_usable(model, "np_oracle")
     n = pair.n
     if n > NP_ORACLE_MAX_N:
         raise CapacityError(
-            f"np_oracle enumerates n! permutations and supports n <= "
+            f"np_oracle's subset DP over 2^n column sets supports n <= "
             f"{NP_ORACLE_MAX_N}, got n={n}"
         )
     c = pair_llr_matrix(model, pair.x, pair.y)
     if not np.all(np.isfinite(c)):
         raise ValidationError("non-finite log-likelihood entry in the pair matrix")
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    totals = c[np.arange(n)[None, :], perms].sum(axis=1)
-    top = float(totals.max())
-    log_stat = top + math.log(float(np.exp(totals - top).sum())) - math.lgamma(n + 1)
+    log_stat = _log_permanent_ratio(c)
     return Verdict(
         decision=int(log_stat >= 0.0),
         statistic=float(math.exp(log_stat)) if log_stat < 700 else math.inf,

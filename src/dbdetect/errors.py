@@ -1,7 +1,12 @@
 """Semantic exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: :class:`ValidationError` (and its
-subclasses) exit 1, :class:`CapacityError` exits 2.
+The CLI maps these onto exit codes, printing one line to stderr instead of
+a traceback:
+
+* 1 (``error: ...``): :class:`ValidationError` and its subclasses,
+  :class:`InvariantViolationError` (``error: internal invariant violated:
+  ...``), and any other :class:`DetectionError`;
+* 2 (``capacity error: ...``): :class:`CapacityError`.
 """
 
 
@@ -25,7 +30,7 @@ class DegenerateModelError(ValidationError):
 
 
 class CapacityError(DetectionError):
-    """An exact enumeration would exceed its configured size guard."""
+    """An exact computation would exceed its configured time or size guard."""
 
 
 class InvariantViolationError(DetectionError):

@@ -34,9 +34,12 @@ from .models import (
     sample_null_rng,
 )
 
-# exact enumeration guard: total number of (x, y) database pairs
+# exact_tv_small's time guards: the number of ordered (x, y) database pairs,
+# and n for its sum over the n! row matchings
 ENUM_STATE_CAP = 1 << 24
 ENUM_FACTORIAL_CAP = 8
+# scratch budget of one block of x-states in exact_tv_small
+TV_BLOCK_BYTES = 1 << 24
 
 DETECTOR_NAMES = ("glrt", "sum", "count", "np-oracle")
 
@@ -160,7 +163,12 @@ def thread_count(override: Optional[int] = None) -> int:
         return max(1, int(override))
     env = os.environ.get("DBDETECT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValidationError(
+                f"DBDETECT_THREADS must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -350,9 +358,16 @@ def estimates_to_csv(estimates: Sequence[RiskEstimate]) -> str:
 
 def exact_tv_small(model: DiscreteJointModel, n: int, d: int) -> tuple[float, float]:
     """Exact total variation between the null law and the permutation-mixture
-    dependent law, by full enumeration of both databases, and the implied
-    optimal average risk 1 - tv.  Guarded by ``ENUM_STATE_CAP`` total states
-    and n <= ``ENUM_FACTORIAL_CAP``."""
+    dependent law, and the implied optimal average risk 1 - tv.
+
+    Both laws are invariant under reordering the rows of either database, so
+    the sum of |P0 - P1| over database pairs runs over pairs of row multisets,
+    each weighted by its number of row orders.  P1 averages the product of
+    matched row-pair probabilities over the n! matchings.  The sum is
+    accumulated over blocks of x-states sized to ``TV_BLOCK_BYTES``, so peak
+    memory does not grow with the square of the state count.  Guarded by
+    ``ENUM_STATE_CAP`` ordered database pairs m^(2nd) and by
+    n <= ``ENUM_FACTORIAL_CAP``."""
     if not isinstance(model, DiscreteJointModel):
         raise ValidationError("exact_tv_small enumerates discrete models only")
     if n < 1 or d < 1:
@@ -363,44 +378,64 @@ def exact_tv_small(model: DiscreteJointModel, n: int, d: int) -> tuple[float, fl
             f"exact enumeration needs m^(2nd) <= {ENUM_STATE_CAP} and "
             f"n <= {ENUM_FACTORIAL_CAP}; got m={m}, n={n}, d={d}"
         )
-    p0_states, rowids, row_pair_prob = _enumeration_tables(model, n, d)
-    n_states = p0_states.size
-    # P0 of a (x, y) database pair factorises; P1 averages the matched-row
-    # product over all permutations.
-    p1 = np.zeros((n_states, n_states))
-    rows = np.arange(n)
-    for perm in itertools.permutations(range(n)):
-        # product over rows of the joint row-pair probability
-        contrib = np.ones((n_states, n_states))
-        for i in rows:
-            contrib *= row_pair_prob[rowids[:, i][:, None], rowids[:, perm[i]][None, :]]
-        p1 += contrib
-    p1 /= math.factorial(n)
-    p0 = p0_states[:, None] * p0_states[None, :]
-    tv = 0.5 * float(np.abs(p0 - p1).sum())
+    row_symbols, states, orders = _enumeration_tables(model, n, d)
+    row_q = np.prod(model.marginal[row_symbols], axis=1)
+    p0 = np.prod(row_q[states], axis=1)
+    n_states = states.shape[0]
+    perms = list(itertools.permutations(range(n)))
+    block = _tv_block_rows(n_states, n)
+    total = 0.0
+    for lo in range(0, n_states, block):
+        x = states[lo : lo + block]
+        kernel_rows = [_row_pair_prob(model, row_symbols, x[:, i]) for i in range(n)]
+        p1 = np.zeros((x.shape[0], n_states))
+        for perm in perms:
+            contrib = kernel_rows[0][:, states[:, perm[0]]]
+            for i in range(1, n):
+                contrib *= kernel_rows[i][:, states[:, perm[i]]]
+            p1 += contrib
+        p1 /= len(perms)
+        diff = np.abs(p0[lo : lo + block, None] * p0[None, :] - p1)
+        total += float(orders[lo : lo + block] @ diff @ orders)
+    tv = 0.5 * total
     return tv, 1.0 - tv
 
 
+def _tv_block_rows(n_states: int, n: int) -> int:
+    """x-states per block: about n + 5 float arrays of (block, n_states)
+    are live at once."""
+    return max(1, TV_BLOCK_BYTES // (8 * n_states * (n + 5)))
+
+
 def _enumeration_tables(model: DiscreteJointModel, n: int, d: int):
-    """Tables for database enumeration: the marginal probability of each
-    one-matrix configuration, the per-row symbol-tuple ids of each
-    configuration, and the joint probability of each (row, row) pair."""
+    """Tables for database enumeration up to row order: the symbol tuple of
+    each possible row, one sorted tuple of row ids per row multiset of an
+    n-row database, and the number of row orders of each multiset."""
     m = model.alphabet_size
-    q = model.marginal
-    n_rows = m**d
     row_symbols = np.array(
         list(itertools.product(range(m), repeat=d)), dtype=np.int64
     )  # (m^d, d)
-    row_prob_q = np.prod(q[row_symbols], axis=1)
-    row_pair_prob = np.ones((n_rows, n_rows))
-    for feature in range(d):
+    multisets = list(itertools.combinations_with_replacement(range(m**d), n))
+    orders = [
+        math.factorial(n)
+        // math.prod(math.factorial(ids.count(r)) for r in set(ids))
+        for ids in multisets
+    ]
+    return (
+        row_symbols,
+        np.array(multisets, dtype=np.int64),
+        np.array(orders, dtype=np.float64),
+    )
+
+
+def _row_pair_prob(model: DiscreteJointModel, row_symbols: np.ndarray, rows):
+    """Joint probability of each row in ``rows`` paired with every possible
+    row: shape (len(rows), m^d)."""
+    out = np.ones((len(rows), row_symbols.shape[0]))
+    for feature in range(row_symbols.shape[1]):
         symbols = row_symbols[:, feature]
-        row_pair_prob *= model.joint[symbols[:, None], symbols[None, :]]
-    configs = np.array(
-        list(itertools.product(range(n_rows), repeat=n)), dtype=np.int64
-    )  # (n_rows^n, n)
-    p0_states = np.prod(row_prob_q[configs], axis=1)
-    return p0_states, configs, row_pair_prob
+        out *= model.joint[symbols[rows][:, None], symbols[None, :]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +453,10 @@ def bound_report(
 ) -> dict:
     """One record collecting the computable theory quantities at (n, d):
     spectral impossibility statistics, the exact second moment and its risk
-    floor (when within capacity), the closed-form moment bound, the sum-test
-    risk bound, and the exponent conditions of the scan and count tests.
-    Fields that exceed a capacity guard carry a note instead of failing."""
+    floor, the closed-form moment bound, the sum-test risk bound, and the
+    exponent conditions of the scan and count tests.  Quantities undefined
+    for the model (an independent model's thresholds) carry a note instead
+    of failing; n above ``spectral.MOMENT_MAX_N`` raises ``CapacityError``."""
     report: dict = {
         "model_kind": model_kind(model),
         "param": model_param(model),
@@ -448,16 +484,9 @@ def bound_report(
         report["strong_fixed_d_threshold"] = None
         report["strong_fixed_d_note"] = str(exc)
 
-    if n <= spectral.PARTITION_CAP:
-        moment = spectral.second_moment_exact(profile, n, d)
-        report["second_moment"] = moment
-        report["risk_lower_bound"] = spectral.risk_lower_bound_from_moment(moment)
-    else:
-        report["second_moment"] = None
-        report["risk_lower_bound"] = None
-        report["second_moment_note"] = (
-            f"n={n} exceeds the cycle-type capacity {spectral.PARTITION_CAP}"
-        )
+    moment = spectral.second_moment_exact(profile, n, d)
+    report["second_moment"] = moment
+    report["risk_lower_bound"] = spectral.risk_lower_bound_from_moment(moment)
     report["poisson_moment_bound"] = spectral.poisson_moment_bound(profile, d)
 
     div = kl_divergences(model)

@@ -2,7 +2,9 @@
 
 Oracles here deliberately avoid the production code paths they check:
 quadrature instead of closed forms, factorial enumeration instead of the
-assignment solver, direct database enumeration instead of cycle types.
+assignment solver and the permanent's subset DP, direct database enumeration
+instead of cycle types, a sum over cycle types instead of the cycle-index
+recurrence.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from dbdetect.models import DiscreteJointModel, GaussianModel, make_bernoulli
+from dbdetect.spectral import SpectralProfile, cycle_types
 
 DIAG_JOINT = np.array([[0.4, 0.1], [0.1, 0.4]])
 
@@ -167,3 +170,60 @@ def brute_force_tv(model: DiscreteJointModel, n: int, d: int) -> float:
             p1 /= len(perms)
             total += abs(p0 - p1)
     return 0.5 * total
+
+
+def partition_sum_second_moment(profile: SpectralProfile, n: int, d: int) -> float:
+    """Null second moment as a streaming log-sum-exp over the cycle types of
+    S_n: the expectation of prod_k g_k^{d N_k} under a uniform permutation,
+    with g_k the sum of 2k-th eigenvalue powers.  Small n only (p(n) terms)."""
+    lam_sq = profile.eigenvalues.astype(np.float64) ** 2
+    log_g = [math.log(float(np.sum(lam_sq**k))) for k in range(1, n + 1)]
+    running_max = -math.inf
+    running_sum = 0.0
+    for cycle_type in cycle_types(n):
+        term = 0.0
+        for k, nk in cycle_type.counts.items():
+            term -= nk * math.log(k) + math.lgamma(nk + 1)
+            term += d * nk * log_g[k - 1]
+        if term <= running_max:
+            running_sum += math.exp(term - running_max)
+        else:
+            running_sum = running_sum * math.exp(running_max - term) + 1.0
+            running_max = term
+    return max(1.0, math.exp(running_max + math.log(running_sum)))
+
+
+def permutation_log_statistic(c: np.ndarray) -> float:
+    """log(perm(exp c) / n!) by enumerating all n! row matchings."""
+    n = c.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    totals = c[np.arange(n)[None, :], perms].sum(axis=1)
+    top = float(totals.max())
+    return top + math.log(float(np.exp(totals - top).sum())) - math.lgamma(n + 1)
+
+
+def dense_exact_tv(model: DiscreteJointModel, n: int, d: int) -> float:
+    """Total variation between null and permutation-mixture laws over every
+    ordered database pair, with both laws held as dense
+    (m^(nd), m^(nd)) arrays."""
+    m = model.alphabet_size
+    q = model.marginal
+    rows = np.array(list(itertools.product(range(m), repeat=d)), dtype=np.int64)
+    row_q = np.prod(q[rows], axis=1)
+    pair_p = np.ones((rows.shape[0], rows.shape[0]))
+    for feature in range(d):
+        symbols = rows[:, feature]
+        pair_p *= model.joint[symbols[:, None], symbols[None, :]]
+    configs = np.array(
+        list(itertools.product(range(rows.shape[0]), repeat=n)), dtype=np.int64
+    )
+    p0_side = np.prod(row_q[configs], axis=1)
+    p1 = np.zeros((configs.shape[0], configs.shape[0]))
+    for perm in itertools.permutations(range(n)):
+        contrib = np.ones_like(p1)
+        for i in range(n):
+            contrib *= pair_p[configs[:, i][:, None], configs[:, perm[i]][None, :]]
+        p1 += contrib
+    p1 /= math.factorial(n)
+    p0 = p0_side[:, None] * p0_side[None, :]
+    return 0.5 * float(np.abs(p0 - p1).sum())

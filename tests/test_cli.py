@@ -13,8 +13,9 @@ from dbdetect.config import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from dbdetect.detectors import glrt, sum_test
-from dbdetect.errors import ValidationError
+from dbdetect import experiments
+from dbdetect.detectors import NP_ORACLE_MAX_N, glrt, sum_test
+from dbdetect.errors import DetectionError, InvariantViolationError, ValidationError
 from dbdetect.models import GaussianModel, sample_alt
 
 GAUSS_MODEL = "kind = gaussian\nrho = 0.6\n"
@@ -310,12 +311,12 @@ class TestPlans:
         assert all("risk" in r and "stderr" in r for r in rows)
 
     def test_sweep_partial_failure_warns_and_exits_zero(self, tmp_path, capsys):
-        # n sweeps across the np-oracle capacity boundary: the n=12 points
+        # n sweeps across the np-oracle capacity boundary: the n=21 points
         # fail, the n=4 points survive, exit code stays 0
         plan = (
             "[model]\nkind = gaussian\nrho = 0.6\n\n"
             "[run]\nn = 4\nd = 2\ntrials = 5\nseed = 1\ndetectors = np-oracle\n\n"
-            "[sweep]\nn = 4 12\n"
+            f"[sweep]\nn = 4 {NP_ORACLE_MAX_N + 1}\n"
         )
         path = tmp_path / "plan.txt"
         path.write_text(plan)
@@ -323,6 +324,32 @@ class TestPlans:
         assert run_cli("sweep", "--plan", path, "--out", out) == 0
         err = capsys.readouterr().err
         assert "1 sweep point(s) failed" in err
-        assert "n=12" in err
+        assert f"n={NP_ORACLE_MAX_N + 1}" in err
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2  # header + the surviving n=4 row
+
+
+class TestExitCodes:
+    def test_bad_thread_env_exits_1(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "plan.txt"
+        path.write_text(PLAN_TEXT)
+        monkeypatch.setenv("DBDETECT_THREADS", "abc")
+        assert run_cli("risk", "--plan", path, "--trials", 2) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "DBDETECT_THREADS" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "exc", [InvariantViolationError("broken"), DetectionError("broken")]
+    )
+    def test_package_errors_exit_1(self, model_file, monkeypatch, capsys, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(experiments, "bound_report", fail)
+        path = model_file(GAUSS_MODEL)
+        assert run_cli("bounds", "--model", path, "--n", 4, "--d", 2) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith("broken")
+        if isinstance(exc, InvariantViolationError):
+            assert "internal invariant violated" in err

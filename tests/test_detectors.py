@@ -7,6 +7,8 @@ import pytest
 
 from dbdetect import rng as rngmod
 from dbdetect.detectors import (
+    NP_ORACLE_MAX_N,
+    _log_permanent_ratio,
     count_test,
     glrt,
     make_count_plan,
@@ -18,8 +20,10 @@ from dbdetect.experiments import TrialPlan, estimate_risk
 from dbdetect.exponents import centered_kernel, kl_divergences, var_q_centered_kernel
 from dbdetect.models import (
     DatabasePair,
+    GaussianModel,
     make_bernoulli,
     pair_llr,
+    pair_llr_matrix,
     sample_alt_rng,
     sample_null,
     sample_null_rng,
@@ -31,6 +35,7 @@ from helpers import (
     diag_model,
     gauss,
     independent_model,
+    permutation_log_statistic,
     random_discrete_model,
     sum_test_exact_risk,
 )
@@ -321,16 +326,39 @@ class TestNPOracle:
 
     def test_independent_model_statistic_is_one(self):
         model = independent_model()
-        pair = sample_null(model, 4, 2, seed=9)
-        verdict = np_oracle(model, pair)
-        assert verdict.statistic == pytest.approx(1.0, abs=1e-12)
-        assert verdict.decision == 1  # ties decide dependent
+        for n in range(1, NP_ORACLE_MAX_N + 1):
+            pair = sample_null(model, n, 2, seed=9)
+            verdict = np_oracle(model, pair)
+            assert verdict.aux["log_statistic"] == 0.0, n
+            assert verdict.statistic == 1.0
+            assert verdict.decision == 1  # ties decide dependent
 
     def test_capacity_guard(self):
         model = diag_model()
-        pair = sample_null(model, 9, 1, seed=1)
+        pair = sample_null(model, NP_ORACLE_MAX_N + 1, 1, seed=1)
         with pytest.raises(CapacityError):
             np_oracle(model, pair)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_permutation_enumeration(self, n):
+        rng = np.random.default_rng(100 + n)
+        for model, d in ((diag_model(), 3), (bern55(), 5), (GaussianModel(0.6), 4)):
+            for sampler in (sample_null_rng, sample_alt_rng):
+                pair = sampler(model, n, d, rng)
+                c = pair_llr_matrix(model, pair.x, pair.y)
+                verdict = np_oracle(model, pair)
+                assert verdict.aux["log_statistic"] == pytest.approx(
+                    permutation_log_statistic(c), abs=1e-12
+                )
+                assert verdict.decision == int(verdict.aux["log_statistic"] >= 0.0)
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_permanent_far_below_row_maxima(self, n):
+        # the best matching sits thousands of nats below the row maxima, where
+        # exp(C - row max) alone would underflow to a zero permanent
+        c = np.random.default_rng(n).normal(scale=500.0, size=(n, n))
+        expected = permutation_log_statistic(c)
+        assert _log_permanent_ratio(c) == pytest.approx(expected, rel=1e-12)
 
     def test_statistic_matches_direct_permanent(self):
         import itertools

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from dbdetect import experiments
 from dbdetect.errors import CapacityError, ValidationError
 from dbdetect.experiments import (
     SweepGrid,
@@ -15,9 +17,22 @@ from dbdetect.experiments import (
     sweep,
 )
 from dbdetect.models import make_bernoulli
-from dbdetect.spectral import eigenvalues, second_moment_exact
+from dbdetect.spectral import (
+    MOMENT_MAX_N,
+    eigenvalues,
+    gaussian_profile,
+    poisson_moment_bound,
+    second_moment_exact,
+)
 
-from helpers import brute_force_tv, diag_model, gauss, independent_model
+from helpers import (
+    brute_force_tv,
+    dense_exact_tv,
+    diag_model,
+    gauss,
+    independent_model,
+    random_discrete_model,
+)
 
 
 def small_plan(**kwargs):
@@ -184,6 +199,27 @@ class TestExactTV:
         with pytest.raises(CapacityError):
             exact_tv_small(diag_model(), 4, 4)
 
+    @pytest.mark.parametrize(
+        "n,d", [(1, 1), (1, 4), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)]
+    )
+    def test_matches_dense_formula(self, n, d):
+        rng = np.random.default_rng(10 * n + d)
+        for model in (make_bernoulli(0.6, 0.3), diag_model()):
+            tv, _ = exact_tv_small(model, n, d)
+            assert tv == pytest.approx(dense_exact_tv(model, n, d), abs=1e-13)
+        if d == 1:  # a 3-symbol alphabet keeps the dense arrays small only here
+            model = random_discrete_model(rng, 3)
+            tv, _ = exact_tv_small(model, n, d)
+            assert tv == pytest.approx(dense_exact_tv(model, n, d), abs=1e-13)
+
+    def test_states_span_several_blocks(self, monkeypatch):
+        # 2^(3*2) = 64 ordered x-databases are 20 row multisets
+        monkeypatch.setattr(experiments, "TV_BLOCK_BYTES", 4096)
+        assert experiments._tv_block_rows(20, 3) < 20
+        model = make_bernoulli(0.6, 0.3)
+        tv, _ = exact_tv_small(model, 3, 2)
+        assert tv == pytest.approx(dense_exact_tv(model, 3, 2), abs=1e-13)
+
 
 class TestBoundReport:
     def test_gaussian_report_values(self):
@@ -205,10 +241,15 @@ class TestBoundReport:
         assert 0.0 <= report["risk_lower_bound"] <= 1.0
         assert report["poisson_moment_bound"] >= 1.0
 
-    def test_capacity_note_instead_of_failure(self):
+    def test_large_n_moment_is_finite(self):
         report = bound_report(gauss(0.2), n=500, d=3)
-        assert report["second_moment"] is None
-        assert "second_moment_note" in report
+        bound = poisson_moment_bound(gaussian_profile(0.2), 3)
+        assert 1.0 <= report["second_moment"] <= bound
+        assert "second_moment_note" not in report
+
+    def test_moment_capacity_guard(self):
+        with pytest.raises(CapacityError):
+            bound_report(gauss(0.2), n=MOMENT_MAX_N + 1, d=3)
 
     def test_independent_model_notes(self):
         report = bound_report(independent_model(), n=5, d=2)

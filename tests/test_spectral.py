@@ -15,6 +15,7 @@ from dbdetect.errors import (
 )
 from dbdetect.models import make_bernoulli
 from dbdetect.spectral import (
+    MOMENT_MAX_N,
     SpectralProfile,
     cycle_types,
     eigenvalues,
@@ -33,6 +34,7 @@ from helpers import (
     brute_force_second_moment,
     diag_model,
     independent_model,
+    partition_sum_second_moment,
     random_discrete_model,
 )
 
@@ -262,6 +264,39 @@ class TestSecondMoment:
 
     def test_overflow_returns_inf(self):
         assert second_moment_exact(profile_of(1.0, 0.999), 60, 10**6) == math.inf
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1.0, 0.5),
+            (1.0, 0.6, -0.3),
+            (1.0, 0.9, 0.2, 0.1),
+            (1.0, -0.95),
+            tuple(gaussian_profile(0.5).eigenvalues),
+        ],
+        ids=["one", "signed", "three", "near-one", "gaussian-0.5"],
+    )
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_matches_partition_sum(self, values, d):
+        profile = profile_of(*values)
+        for n in range(1, 21):
+            expected = partition_sum_second_moment(profile, n, d)
+            got = second_moment_exact(profile, n, d)
+            assert got == pytest.approx(expected, rel=1e-12), n
+
+    @pytest.mark.parametrize("d", [1, 10])
+    def test_large_n_matches_poisson_limit(self, d):
+        # the cycle index converges to the Poisson surrogate's product as n grows
+        profile = gaussian_profile(0.5)
+        got = second_moment_exact(profile, 5000, d)
+        assert got == pytest.approx(
+            poisson_surrogate_moment(profile, 5000, d), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [0, MOMENT_MAX_N + 1])
+    def test_capacity_guard(self, n):
+        with pytest.raises(CapacityError):
+            second_moment_exact(profile_of(1.0, 0.5), n, 2)
 
 
 class TestPoissonSurrogate:
