@@ -19,7 +19,6 @@ import numpy as np
 
 from . import config as cfg
 from . import experiments
-from .detectors import count_test, glrt, make_count_plan, np_oracle, sum_test
 from .errors import (
     CapacityError,
     DetectionError,
@@ -89,28 +88,24 @@ def cmd_detect(args) -> int:
     x = cfg.matrix_for_model(model, cfg.read_matrix_csv(args.x))
     y = cfg.matrix_for_model(model, cfg.read_matrix_csv(args.y))
     pair = DatabasePair(x=x, y=y)
-    verdicts = []
-    for name in args.detector:
-        if name == "glrt":
-            verdicts.append(glrt(model, pair, tau=args.tau))
-        elif name == "sum":
-            verdicts.append(sum_test(model, pair, tau=args.tau_sum))
-        elif name == "count":
-            if args.tau_count is None:
-                raise ValidationError("--tau-count is required for the count detector")
-            plan = make_count_plan(
-                model,
-                pair.d,
-                args.tau_count,
-                method=args.pd_method,
-                samples=args.pd_samples,
-                seed=args.seed,
-            )
-            verdicts.append(count_test(model, pair, plan))
-        elif name == "np-oracle":
-            verdicts.append(np_oracle(model, pair))
-        else:
-            raise ValidationError(f"unknown detector {name!r}")
+    if "count" in args.detector and args.tau_count is None:
+        raise ValidationError("--tau-count is required for the count detector")
+    plan = experiments.TrialPlan(
+        model=model,
+        n=pair.n,
+        d=pair.d,
+        # None without --seed: only a monte-carlo pd needs one, and says so
+        seed=args.seed,
+        detectors=tuple(args.detector),
+        tau_glrt=args.tau,
+        tau_sum=args.tau_sum,
+        tau_count=args.tau_count,
+        pd_method=args.pd_method,
+        pd_samples=args.pd_samples,
+    )
+    verdicts = [
+        evaluate(pair) for _, evaluate in experiments.bind_detectors(model, pair.d, plan)
+    ]
     if args.format == "csv":
         lines = ["detector,decision,statistic,threshold"]
         for v in verdicts:
@@ -248,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--detector",
                 action="append",
-                choices=["glrt", "sum", "count", "np-oracle"],
+                choices=experiments.DETECTOR_NAMES,
                 help="detector to run (repeatable; overrides the plan)",
             )
             p.add_argument("--tau", type=float, help="scan-test threshold")
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--detector",
         action="append",
         required=True,
-        choices=["glrt", "sum", "count", "np-oracle"],
+        choices=experiments.DETECTOR_NAMES,
     )
     p.add_argument("--tau", type=float, default=0.0, help="scan-test threshold")
     p.add_argument("--tau-sum", type=float, help="sum-test threshold override")

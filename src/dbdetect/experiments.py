@@ -126,11 +126,15 @@ def _resolve_tau_count(model: JointModel, tau_count) -> float:
     return float(tau_count)
 
 
-def _build_evaluators(
-    model: JointModel, n: int, d: int, plan: TrialPlan
+def bind_detectors(
+    model: JointModel, d: int, plan: TrialPlan
 ) -> list[tuple[str, Callable]]:
-    """Bind each requested detector to a pair -> Verdict callable, resolving
-    thresholds and the count plan once per grid point."""
+    """Bind each of ``plan.detectors`` to a pair -> Verdict callable, in
+    order, resolving thresholds and the count plan once for dimension ``d``.
+
+    This is the one name-to-detector dispatch: the risk harness and the
+    ``detect`` subcommand both use it.  The detectors are looked up as this
+    module's globals at call time."""
     evaluators: list[tuple[str, Callable]] = []
     for name in plan.detectors:
         if name == "glrt":
@@ -180,7 +184,7 @@ def _run_point(
     point_index: int,
     threads: int,
 ) -> list[RiskEstimate]:
-    evaluators = _build_evaluators(model, n, d, plan)
+    evaluators = bind_detectors(model, d, plan)
     m_trials = plan.trials
     k = len(evaluators)
     decisions_h0 = np.zeros((k, m_trials), dtype=np.uint8)
@@ -200,11 +204,12 @@ def _run_point(
             if trial == 0:
                 thresholds[idx] = v0.threshold
 
-    if threads <= 1:
+    workers = min(threads, m_trials)
+    if workers <= 1:
         for trial in range(m_trials):
             run_trial(trial)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_trial, range(m_trials)))
 
     out = []

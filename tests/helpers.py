@@ -2,9 +2,9 @@
 
 Oracles here deliberately avoid the production code paths they check:
 quadrature instead of closed forms, factorial enumeration instead of the
-assignment solver and the permanent's subset DP, direct database enumeration
-instead of cycle types, a sum over cycle types instead of the cycle-index
-recurrence.
+assignment solver and the permanent's subset DP, a scalar loop instead of the
+solver's row-wise array scan, direct database enumeration instead of cycle
+types, a sum over cycle types instead of the cycle-index recurrence.
 """
 
 import itertools
@@ -114,6 +114,59 @@ def brute_force_max_assignment(weights: np.ndarray):
             best_value = value
             best_perm = perm
     return best_perm, best_value
+
+
+def scalar_sap_min_assignment(cost: np.ndarray) -> np.ndarray:
+    """Row-to-column map of a minimum-cost perfect assignment, by the scalar
+    shortest-augmenting-path loop (one Dijkstra-style augmentation per row,
+    one column at a time).  ``assignment.solve_max`` runs the same method
+    with whole-row array operations and must return the same map, ties
+    included."""
+    c = np.asarray(cost, dtype=np.float64)
+    n = c.shape[0]
+    inf = np.inf
+    u = np.zeros(n + 1)  # row potentials (index n is the virtual row slot)
+    v = np.zeros(n + 1)  # column potentials (index n is the virtual column)
+    col_to_row = np.full(n + 1, n, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+
+    for row in range(n):
+        col_to_row[n] = row
+        j0 = n
+        minv = np.full(n + 1, inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = col_to_row[j0]
+            delta = inf
+            j1 = -1
+            for j in range(n):
+                if used[j]:
+                    continue
+                cur = c[i0, j] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[col_to_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if col_to_row[j0] == n:
+                break
+        while j0 != n:
+            j1 = way[j0]
+            col_to_row[j0] = col_to_row[j1]
+            j0 = j1
+
+    row_to_col = np.empty(n, dtype=np.int64)
+    row_to_col[col_to_row[:n]] = np.arange(n)
+    return row_to_col
 
 
 def brute_force_second_moment(model: DiscreteJointModel, n: int, d: int) -> float:

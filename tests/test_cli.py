@@ -1,6 +1,7 @@
 """Command-line interface: formats, round trips, exit codes, determinism."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -283,6 +284,43 @@ class TestPlans:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_workers_clamped_to_trials(self, tmp_path, monkeypatch):
+        """--threads 64 with 3 trials asks the pool for 3 workers.  The fake
+        pool runs the trials serially, so no thread starts."""
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return [fn(*args) for args in zip(*iterables)]
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+        path = tmp_path / "plan.txt"
+        path.write_text(PLAN_TEXT)
+        threads_before = threading.active_count()
+        outputs = []
+        for threads in (1, 64):
+            out = tmp_path / f"r{threads}.csv"
+            assert (
+                run_cli(
+                    "risk", "--plan", path, "--trials", 3, "--threads", threads,
+                    "--out", out,
+                )
+                == 0
+            )
+            outputs.append(out.read_bytes())
+        assert requested == [3]
+        assert outputs[0] == outputs[1]
+        assert threading.active_count() == threads_before
 
     def test_sweep_runs_and_is_deterministic(self, tmp_path):
         path = tmp_path / "plan.txt"
