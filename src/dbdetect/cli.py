@@ -19,6 +19,7 @@ import numpy as np
 
 from . import config as cfg
 from . import experiments
+from .detectors import PairCache
 from .errors import (
     CapacityError,
     DetectionError,
@@ -103,8 +104,10 @@ def cmd_detect(args) -> int:
         pd_method=args.pd_method,
         pd_samples=args.pd_samples,
     )
+    cache = PairCache(model, pair)
     verdicts = [
-        evaluate(pair) for _, evaluate in experiments.bind_detectors(model, pair.d, plan)
+        evaluate(pair, cache)
+        for _, evaluate in experiments.bind_detectors(model, pair.d, plan)
     ]
     if args.format == "csv":
         lines = ["detector,decision,statistic,threshold"]

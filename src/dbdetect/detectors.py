@@ -35,6 +35,8 @@ NP_ORACLE_MAX_N = 20
 _PERMANENT_CHUNK = 1 << 14
 # weights below 2^-(2^40) of their row maximum are held at that floor
 _PERMANENT_MIN_EXP = -(2.0**40)
+# entries per block of the Monte-Carlo pd kernel's z draws and arithmetic
+_PD_BLOCK_ELEMS = 1 << 14
 # composition count guard for the exact d-fold convolution tail
 EXACT_TAIL_MAX_TERMS = 2_000_000
 
@@ -75,14 +77,46 @@ def _require_usable(model: JointModel, operation: str) -> None:
         model.require_positive_marginal(operation)
 
 
-def glrt(model: JointModel, pair: DatabasePair, tau: float = 0.0) -> Verdict:
+class PairCache:
+    """What the detectors share about one dataset pair: its all-pairs LLR
+    matrix, computed on first use and checked to be finite.
+
+    A caller that runs several detectors on the same pair passes one cache
+    to each of them, so the matrix is computed once per pair."""
+
+    __slots__ = ("model", "pair", "_llr")
+
+    def __init__(self, model: JointModel, pair: DatabasePair):
+        self.model = model
+        self.pair = pair
+        self._llr: Optional[np.ndarray] = None
+
+    def llr(self) -> np.ndarray:
+        if self._llr is None:
+            c = pair_llr_matrix(self.model, self.pair.x, self.pair.y)
+            if not np.all(np.isfinite(c)):
+                raise ValidationError(
+                    "non-finite log-likelihood entry in the pair matrix"
+                )
+            self._llr = c
+        return self._llr
+
+
+def _llr(model: JointModel, pair: DatabasePair, cache: Optional[PairCache]):
+    return (cache if cache is not None else PairCache(model, pair)).llr()
+
+
+def glrt(
+    model: JointModel,
+    pair: DatabasePair,
+    tau: float = 0.0,
+    cache: Optional[PairCache] = None,
+) -> Verdict:
     """Scan test: maximise the row-matching log-likelihood ratio over all
     permutations (a maximum-weight assignment on the all-pairs LLR matrix)
     and threshold the maximum divided by d*n."""
     _require_usable(model, "glrt")
-    c = pair_llr_matrix(model, pair.x, pair.y)
-    if not np.all(np.isfinite(c)):
-        raise ValidationError("non-finite log-likelihood entry in the pair matrix")
+    c = _llr(model, pair, cache)
     sigma, value = solve_max(c)
     statistic = value / (pair.d * pair.n)
     return Verdict(
@@ -201,22 +235,58 @@ def _monte_carlo_pd(
     model: GaussianModel, d: int, tau_count: float, samples: int, seed: int
 ) -> tuple[float, float]:
     """Seeded Monte-Carlo estimate of the matched-pair exceedance probability
-    for the Gaussian family, with its binomial standard error."""
+    for the Gaussian family, with its binomial standard error.
+
+    The stream is part of the reproducibility contract: ``samples`` matched
+    rows are drawn in chunks of ``4_000_000 // d`` rows, each chunk as a
+    block of ``a`` draws and then a block of ``z`` draws, with
+    ``b = rho * a + sqrt(1 - rho^2) * z``.  How the work on a chunk is split
+    is not.  The ``z`` block is drawn a few rows at a time (the normal
+    sampler consumes the stream value by value, so the values are the
+    same), and the arithmetic runs in place on those rows, about
+    ``_PD_BLOCK_ELEMS`` entries, in the whole-chunk expression's operation
+    order; every per-row total and every hit is the same for any block size.
+    """
     rho = model.rho
     c = 1.0 - rho * rho
+    sqrt_c = math.sqrt(c)
+    two_rho = 2.0 * rho
     rng = rngmod.substream(seed, rngmod.PD_ESTIMATE)
     target = d * tau_count
     const = -0.5 * d * math.log(c)
     hits = 0
     chunk = max(1, min(samples, 4_000_000 // max(d, 1)))
+    block = max(1, min(chunk, _PD_BLOCK_ELEMS // d))
+    a_chunk = np.empty((chunk, d))
+    z_block = np.empty((block, d))
+    b = np.empty((block, d))
+    t = np.empty((block, d))
     done = 0
     while done < samples:
         size = min(chunk, samples - done)
-        a = rng.standard_normal((size, d))
-        b = rho * a + math.sqrt(c) * rng.standard_normal((size, d))
-        quad = (-(a * a + b * b) * rho * rho + 2.0 * rho * a * b).sum(axis=1)
-        totals = const + quad / (2.0 * c)
-        hits += int((totals >= target).sum())
+        a_all = rng.standard_normal(out=a_chunk[:size])
+        for lo in range(0, size, block):
+            a = a_all[lo : lo + block]
+            rows = a.shape[0]
+            # the chunk's z block, drawn in order a block of rows at a time
+            z = rng.standard_normal(out=z_block[:rows])
+            bb, tt = b[:rows], t[:rows]
+            # b = rho * a + sqrt(c) * z
+            np.multiply(a, rho, out=bb)
+            np.multiply(z, sqrt_c, out=z)
+            np.add(bb, z, out=bb)
+            # -(a * a + b * b) * rho * rho + 2 * rho * a * b, z as scratch
+            np.multiply(a, a, out=tt)
+            np.multiply(bb, bb, out=z)
+            np.add(tt, z, out=tt)
+            np.negative(tt, out=tt)
+            np.multiply(tt, rho, out=tt)
+            np.multiply(tt, rho, out=tt)
+            np.multiply(a, two_rho, out=z)
+            np.multiply(z, bb, out=z)
+            np.add(tt, z, out=tt)
+            totals = const + tt.sum(axis=1) / (2.0 * c)
+            hits += int((totals >= target).sum())
         done += size
     pd = hits / samples
     return pd, math.sqrt(pd * (1.0 - pd) / samples)
@@ -273,20 +343,41 @@ def make_count_plan(
     raise ValidationError(f"unknown pd method {method!r}")
 
 
-def count_test(model: JointModel, pair: DatabasePair, plan: CountTestPlan) -> Verdict:
-    """Count test: the number of row pairs whose per-feature mean LLR reaches
-    tau_count, thresholded against n * pd / 2."""
-    _require_usable(model, "count_test")
+def count_threshold(n: int, plan: CountTestPlan) -> float:
+    """The count test's threshold n * pd / 2; a plan with pd = 0 is
+    rejected, since every statistic would reach it."""
     if plan.pd <= 0.0:
         raise ValidationError(
             "count-test threshold is vacuous: pd = 0 (tau_count above the "
             "reachable LLR range)"
         )
-    c = pair_llr_matrix(model, pair.x, pair.y)
-    if not np.all(np.isfinite(c)):
-        raise ValidationError("non-finite log-likelihood entry in the pair matrix")
-    count = int((c / pair.d >= plan.tau_count).sum())
-    threshold = 0.5 * pair.n * plan.pd
+    return 0.5 * n * plan.pd
+
+
+def count_statistic(
+    model: JointModel,
+    pair: DatabasePair,
+    tau_count: float,
+    cache: Optional[PairCache] = None,
+) -> int:
+    """The number of row pairs whose per-feature mean LLR reaches
+    tau_count.  It needs no pd, so the risk harness records it while the
+    count plan is still being estimated."""
+    c = _llr(model, pair, cache)
+    return int((c / pair.d >= tau_count).sum())
+
+
+def count_test(
+    model: JointModel,
+    pair: DatabasePair,
+    plan: CountTestPlan,
+    cache: Optional[PairCache] = None,
+) -> Verdict:
+    """Count test: the number of row pairs whose per-feature mean LLR reaches
+    tau_count, thresholded against n * pd / 2."""
+    _require_usable(model, "count_test")
+    threshold = count_threshold(pair.n, plan)
+    count = count_statistic(model, pair, plan.tau_count, cache)
     return Verdict(
         decision=int(count >= threshold),
         statistic=float(count),
@@ -341,7 +432,9 @@ def _log_permanent_ratio(c: np.ndarray) -> float:
     )
 
 
-def np_oracle(model: JointModel, pair: DatabasePair) -> Verdict:
+def np_oracle(
+    model: JointModel, pair: DatabasePair, cache: Optional[PairCache] = None
+) -> Verdict:
     """Exact mixture-likelihood test: average the row-matching likelihood
     ratio over all n! permutations, perm(exp C) / n! for the all-pairs LLR
     matrix C, and threshold at 1 (ties decide "dependent").
@@ -358,10 +451,7 @@ def np_oracle(model: JointModel, pair: DatabasePair) -> Verdict:
             f"np_oracle's subset DP over 2^n column sets supports n <= "
             f"{NP_ORACLE_MAX_N}, got n={n}"
         )
-    c = pair_llr_matrix(model, pair.x, pair.y)
-    if not np.all(np.isfinite(c)):
-        raise ValidationError("non-finite log-likelihood entry in the pair matrix")
-    log_stat = _log_permanent_ratio(c)
+    log_stat = _log_permanent_ratio(_llr(model, pair, cache))
     return Verdict(
         decision=int(log_stat >= 0.0),
         statistic=float(math.exp(log_stat)) if log_stat < 700 else math.inf,

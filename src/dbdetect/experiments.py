@@ -21,7 +21,16 @@ import numpy as np
 
 from . import rng as rngmod
 from . import spectral
-from .detectors import count_test, glrt, make_count_plan, np_oracle, sum_test
+from .detectors import (
+    PairCache,
+    count_statistic,
+    count_test,
+    count_threshold,
+    glrt,
+    make_count_plan,
+    np_oracle,
+    sum_test,
+)
 from .errors import CapacityError, DegenerateModelError, ValidationError
 from .exponents import chernoff_exponent, kl_divergences, var_q_centered_kernel
 from .models import (
@@ -35,11 +44,12 @@ from .models import (
 )
 
 # exact_tv_small's time guards: the number of ordered (x, y) database pairs,
-# and n for its sum over the n! row matchings
+# and n for its subset DP over the 2^n column sets
 ENUM_STATE_CAP = 1 << 24
 ENUM_FACTORIAL_CAP = 8
-# scratch budget of one block of x-states in exact_tv_small
-TV_BLOCK_BYTES = 1 << 24
+# scratch budget of one block of x-states in exact_tv_small; every product of
+# the subset DP touches all of it, so it is sized like a core's L2 cache
+TV_BLOCK_BYTES = 1 << 22
 
 DETECTOR_NAMES = ("glrt", "sum", "count", "np-oracle")
 
@@ -126,40 +136,47 @@ def _resolve_tau_count(model: JointModel, tau_count) -> float:
     return float(tau_count)
 
 
+def _verdict_fn(model: JointModel, plan: TrialPlan, name: str, count_plan=None):
+    """The (pair, cache) -> Verdict callable of one detector name.  The
+    detectors are looked up as this module's globals at call time."""
+    if name == "glrt":
+        return lambda pair, cache: glrt(model, pair, tau=plan.tau_glrt, cache=cache)
+    if name == "sum":
+        return lambda pair, cache: sum_test(model, pair, tau=plan.tau_sum)
+    if name == "count":
+        return lambda pair, cache: count_test(model, pair, count_plan, cache=cache)
+    return lambda pair, cache: np_oracle(model, pair, cache=cache)
+
+
+def _make_count_plan(model: JointModel, d: int, plan: TrialPlan, tau_count: float):
+    return make_count_plan(
+        model,
+        d,
+        tau_count,
+        method=plan.pd_method,
+        samples=plan.pd_samples,
+        seed=plan.seed,
+    )
+
+
 def bind_detectors(
     model: JointModel, d: int, plan: TrialPlan
 ) -> list[tuple[str, Callable]]:
-    """Bind each of ``plan.detectors`` to a pair -> Verdict callable, in
-    order, resolving thresholds and the count plan once for dimension ``d``.
+    """Bind each of ``plan.detectors`` to a ``(pair, cache) -> Verdict``
+    callable, in order, resolving thresholds and the count plan once for
+    dimension ``d``.  Passing one ``PairCache`` per pair to every callable
+    computes the pair's LLR matrix once.
 
-    This is the one name-to-detector dispatch: the risk harness and the
-    ``detect`` subcommand both use it.  The detectors are looked up as this
-    module's globals at call time."""
-    evaluators: list[tuple[str, Callable]] = []
-    for name in plan.detectors:
-        if name == "glrt":
-            tau = plan.tau_glrt
-            evaluators.append((name, lambda pair, t=tau: glrt(model, pair, tau=t)))
-        elif name == "sum":
-            evaluators.append(
-                (name, lambda pair, t=plan.tau_sum: sum_test(model, pair, tau=t))
-            )
-        elif name == "count":
-            tau_count = _resolve_tau_count(model, plan.tau_count)
-            count_plan = make_count_plan(
-                model,
-                d,
-                tau_count,
-                method=plan.pd_method,
-                samples=plan.pd_samples,
-                seed=plan.seed,
-            )
-            evaluators.append(
-                (name, lambda pair, cp=count_plan: count_test(model, pair, cp))
-            )
-        elif name == "np-oracle":
-            evaluators.append((name, lambda pair: np_oracle(model, pair)))
-    return evaluators
+    This is the name-to-detector dispatch of the ``detect`` subcommand; the
+    risk harness uses the same callables, except that it records the count
+    statistic and decides once its concurrently estimated plan is in."""
+    count_plan = None
+    if "count" in plan.detectors:
+        tau_count = _resolve_tau_count(model, plan.tau_count)
+        count_plan = _make_count_plan(model, d, plan, tau_count)
+    return [
+        (name, _verdict_fn(model, plan, name, count_plan)) for name in plan.detectors
+    ]
 
 
 def thread_count(override: Optional[int] = None) -> int:
@@ -184,11 +201,25 @@ def _run_point(
     point_index: int,
     threads: int,
 ) -> list[RiskEstimate]:
-    evaluators = bind_detectors(model, d, plan)
+    """One risk point.  Each trial records, per detector and hypothesis, the
+    decision, or for the count detector the count statistic.  The count
+    plan (a Monte-Carlo pd for Gaussian models) is the first work unit of
+    the same pool as the trials, so it runs while they do; the count
+    decisions ``statistic >= n * pd / 2`` are taken once all units are in.
+    A plan that fails, or whose pd makes the threshold vacuous, raises
+    before any trial's error."""
+    names = plan.detectors
+    tau_count = (
+        _resolve_tau_count(model, plan.tau_count) if "count" in names else None
+    )
+    # count has no verdict until its plan is in: the trials record its statistic
+    verdict_fns = [
+        None if name == "count" else _verdict_fn(model, plan, name) for name in names
+    ]
     m_trials = plan.trials
-    k = len(evaluators)
-    decisions_h0 = np.zeros((k, m_trials), dtype=np.uint8)
-    decisions_h1 = np.zeros((k, m_trials), dtype=np.uint8)
+    k = len(names)
+    # [hypothesis, detector, trial]: a decision, or the count statistic
+    records = np.zeros((2, k, m_trials), dtype=np.int64)
     thresholds = np.zeros(k)
 
     def run_trial(trial: int) -> None:
@@ -196,26 +227,43 @@ def _run_point(
         pair0 = sample_null_rng(model, n, d, rng0)
         rng1 = rngmod.substream(plan.seed, rngmod.RISK_ALT, point_index, trial)
         pair1 = sample_alt_rng(model, n, d, rng1)
-        for idx, (_, evaluate) in enumerate(evaluators):
-            v0 = evaluate(pair0)
-            v1 = evaluate(pair1)
-            decisions_h0[idx, trial] = v0.decision
-            decisions_h1[idx, trial] = v1.decision
-            if trial == 0:
-                thresholds[idx] = v0.threshold
+        pairs = (pair0, pair1)
+        caches = (PairCache(model, pair0), PairCache(model, pair1))
+        for idx, evaluate in enumerate(verdict_fns):
+            for h in (0, 1):
+                if evaluate is None:
+                    records[h, idx, trial] = count_statistic(
+                        model, pairs[h], tau_count, cache=caches[h]
+                    )
+                    continue
+                verdict = evaluate(pairs[h], caches[h])
+                records[h, idx, trial] = verdict.decision
+                if trial == 0 and h == 0:
+                    thresholds[idx] = verdict.threshold
 
+    def run_unit(unit: Optional[int]):
+        if unit is None:  # the count plan
+            return count_threshold(n, _make_count_plan(model, d, plan, tau_count))
+        return run_trial(unit)
+
+    units: list[Optional[int]] = list(range(m_trials))
+    if tau_count is not None:
+        units.insert(0, None)
     workers = min(threads, m_trials)
     if workers <= 1:
-        for trial in range(m_trials):
-            run_trial(trial)
+        results = [run_unit(unit) for unit in units]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_trial, range(m_trials)))
+            results = list(pool.map(run_unit, units))
+    for idx, evaluate in enumerate(verdict_fns):
+        if evaluate is None:
+            thresholds[idx] = results[0]
+            records[:, idx] = records[:, idx] >= results[0]
 
     out = []
-    for idx, (name, _) in enumerate(evaluators):
-        fpr = float(decisions_h0[idx].mean())
-        fnr = float(1.0 - decisions_h1[idx].mean())
+    for idx, name in enumerate(names):
+        fpr = float(records[0, idx].mean())
+        fnr = float(1.0 - records[1, idx].mean())
         stderr = math.sqrt(
             fpr * (1.0 - fpr) / m_trials + fnr * (1.0 - fnr) / m_trials
         )
@@ -367,12 +415,13 @@ def exact_tv_small(model: DiscreteJointModel, n: int, d: int) -> tuple[float, fl
 
     Both laws are invariant under reordering the rows of either database, so
     the sum of |P0 - P1| over database pairs runs over pairs of row multisets,
-    each weighted by its number of row orders.  P1 averages the product of
-    matched row-pair probabilities over the n! matchings.  The sum is
-    accumulated over blocks of x-states sized to ``TV_BLOCK_BYTES``, so peak
-    memory does not grow with the square of the state count.  Guarded by
-    ``ENUM_STATE_CAP`` ordered database pairs m^(2nd) and by
-    n <= ``ENUM_FACTORIAL_CAP``."""
+    each weighted by its number of row orders.  P1 is the permanent of the
+    n x n matrix of matched row-pair probabilities over n!, computed by the
+    subset DP over column sets for all (x, y) state pairs of a block at once.
+    The sum is accumulated over blocks of x-states sized to
+    ``TV_BLOCK_BYTES``, so peak memory does not grow with the square of the
+    state count.  Guarded by ``ENUM_STATE_CAP`` ordered database pairs
+    m^(2nd) and by n <= ``ENUM_FACTORIAL_CAP``."""
     if not isinstance(model, DiscreteJointModel):
         raise ValidationError("exact_tv_small enumerates discrete models only")
     if n < 1 or d < 1:
@@ -387,29 +436,71 @@ def exact_tv_small(model: DiscreteJointModel, n: int, d: int) -> tuple[float, fl
     row_q = np.prod(model.marginal[row_symbols], axis=1)
     p0 = np.prod(row_q[states], axis=1)
     n_states = states.shape[0]
-    perms = list(itertools.permutations(range(n)))
-    block = _tv_block_rows(n_states, n)
+    block = min(n_states, _tv_block_rows(n_states, n))
+    scratch = np.empty((_tv_slots(n), block, n_states))
     total = 0.0
     for lo in range(0, n_states, block):
         x = states[lo : lo + block]
         kernel_rows = [_row_pair_prob(model, row_symbols, x[:, i]) for i in range(n)]
-        p1 = np.zeros((x.shape[0], n_states))
-        for perm in perms:
-            contrib = kernel_rows[0][:, states[:, perm[0]]]
-            for i in range(1, n):
-                contrib *= kernel_rows[i][:, states[:, perm[i]]]
-            p1 += contrib
-        p1 /= len(perms)
-        diff = np.abs(p0[lo : lo + block, None] * p0[None, :] - p1)
+        bufs = scratch[:, : x.shape[0]]
+        p1 = _block_permanents(kernel_rows, states, bufs)
+        p1 /= math.factorial(n)
+        diff = bufs[n]
+        np.multiply.outer(p0[lo : lo + block], p0, out=diff)
+        diff -= p1
+        np.abs(diff, out=diff)
         total += float(orders[lo : lo + block] @ diff @ orders)
     tv = 0.5 * total
     return tv, 1.0 - tv
 
 
+def _block_permanents(kernel_rows, states: np.ndarray, bufs: np.ndarray) -> np.ndarray:
+    """perm(A) for every (x, y) state pair of a block, A[i, j] being the
+    probability of x's row i paired with y's row j, written to one of the
+    ``_tv_slots(n)`` (block, n_states) arrays of ``bufs``.
+
+    f[S] for a column set S of size k sums f[S - {j}] * A[k-1, j] over j in
+    S, so f[all columns] is the permanent: n * 2^(n-1) array products.
+    ``bufs`` holds row k-1 of A (n slots), one product, and two levels of f,
+    so no array is allocated per product."""
+    n = len(kernel_rows)
+    row, product = bufs[:n], bufs[n]
+    free = list(range(n + 1, len(bufs)))
+    level: dict[int, int] = {}  # column set -> slot of f
+    for j in range(n):  # f[{j}] = A[0, j]
+        level[1 << j] = free.pop()
+        bufs[level[1 << j]][...] = kernel_rows[0][:, states[:, j]]
+    for k in range(2, n + 1):
+        for j in range(n):
+            row[j][...] = kernel_rows[k - 1][:, states[:, j]]
+        nxt = {}
+        for cols in itertools.combinations(range(n), k):
+            mask = sum(1 << j for j in cols)
+            slot = free.pop()
+            acc = bufs[slot]
+            for t, j in enumerate(cols):
+                out = acc if t == 0 else product
+                np.multiply(bufs[level[mask ^ (1 << j)]], row[j], out=out)
+                if t:
+                    acc += product
+            nxt[mask] = slot
+        free.extend(level.values())
+        level = nxt
+    return bufs[level[(1 << n) - 1]]
+
+
+def _tv_slots(n: int) -> int:
+    """(block, n_states) arrays of exact_tv_small's scratch: a row of the
+    kernel matrix, one product (later the block's |P0 - P1|), and the two
+    widest adjacent levels of the subset DP."""
+    widest = max(math.comb(n, k - 1) + math.comb(n, k) for k in range(1, n + 1))
+    return n + 1 + widest
+
+
 def _tv_block_rows(n_states: int, n: int) -> int:
-    """x-states per block: about n + 5 float arrays of (block, n_states)
-    are live at once."""
-    return max(1, TV_BLOCK_BYTES // (8 * n_states * (n + 5)))
+    """x-states per block: the scratch and the n per-block kernel rows (at
+    most n_states wide each) stay within ``TV_BLOCK_BYTES``."""
+    return max(1, TV_BLOCK_BYTES // (8 * n_states * (_tv_slots(n) + n)))
 
 
 def _enumeration_tables(model: DiscreteJointModel, n: int, d: int):

@@ -32,10 +32,16 @@ def fisher_yates(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw a uniform permutation of ``0..n-1`` by the Fisher-Yates shuffle.
 
     Spelled out (rather than delegated to ``Generator.permutation``) so the
-    stream consumption is pinned: exactly ``n - 1`` bounded integers.
+    stream consumption is pinned: exactly ``n - 1`` bounded integers, the
+    swap partner of position i uniform on ``0..i`` for i = n-1 down to 1.
+    The n - 1 bounds are drawn in one call; numpy draws an array of bounded
+    integers element by element with Lemire's method, so the permutation and
+    the generator's state afterwards equal those of one scalar draw per swap
+    (``tests/helpers.py::scalar_fisher_yates`` pins this).
     """
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    perm = list(range(n))
+    if n > 1:
+        partners = rng.integers(0, np.arange(n, 1, -1)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), partners):
+            perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, dtype=np.int64)

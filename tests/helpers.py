@@ -4,7 +4,10 @@ Oracles here deliberately avoid the production code paths they check:
 quadrature instead of closed forms, factorial enumeration instead of the
 assignment solver and the permanent's subset DP, a scalar loop instead of the
 solver's row-wise array scan, direct database enumeration instead of cycle
-types, a sum over cycle types instead of the cycle-index recurrence.
+types, a sum over cycle types instead of the cycle-index recurrence, one
+bounded draw per swap instead of Fisher-Yates's single array draw, and
+whole-chunk draws and array expressions instead of the Monte-Carlo pd
+kernel's blocks.
 """
 
 import itertools
@@ -12,6 +15,7 @@ import math
 
 import numpy as np
 
+from dbdetect import rng as rngmod
 from dbdetect.models import DiscreteJointModel, GaussianModel, make_bernoulli
 from dbdetect.spectral import SpectralProfile, cycle_types
 
@@ -96,6 +100,48 @@ def sum_test_exact_risk(d: int, rho: float) -> float:
     fpr = chi2_difference_sf(0.5, 0.5, t, d)
     fnr = 1.0 - chi2_difference_sf(0.5 * (1.0 + rho), 0.5 * (1.0 - rho), t, d)
     return fpr + fnr
+
+
+# ---------------------------------------------------------------------------
+# Stream oracles
+# ---------------------------------------------------------------------------
+
+
+def scalar_fisher_yates(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Fisher-Yates with one scalar bounded draw per swap, i = n-1 down to
+    1.  ``rng.fisher_yates`` must return the same permutation and leave the
+    generator in the same state."""
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def full_chunk_monte_carlo_pd(
+    model: GaussianModel, d: int, tau_count: float, samples: int, seed: int
+) -> tuple[float, float]:
+    """The Gaussian count-test pd estimate with each chunk's arithmetic as
+    one whole-chunk array expression.  ``detectors._monte_carlo_pd`` draws
+    the same stream and must return the same ``(pd, stderr)``."""
+    rho = model.rho
+    c = 1.0 - rho * rho
+    rng = rngmod.substream(seed, rngmod.PD_ESTIMATE)
+    target = d * tau_count
+    const = -0.5 * d * math.log(c)
+    hits = 0
+    chunk = max(1, min(samples, 4_000_000 // max(d, 1)))
+    done = 0
+    while done < samples:
+        size = min(chunk, samples - done)
+        a = rng.standard_normal((size, d))
+        b = rho * a + math.sqrt(c) * rng.standard_normal((size, d))
+        quad = (-(a * a + b * b) * rho * rho + 2.0 * rho * a * b).sum(axis=1)
+        totals = const + quad / (2.0 * c)
+        hits += int((totals >= target).sum())
+        done += size
+    pd = hits / samples
+    return pd, math.sqrt(pd * (1.0 - pd) / samples)
 
 
 # ---------------------------------------------------------------------------

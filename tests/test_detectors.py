@@ -8,7 +8,9 @@ import pytest
 from dbdetect import rng as rngmod
 from dbdetect.detectors import (
     NP_ORACLE_MAX_N,
+    PairCache,
     _log_permanent_ratio,
+    _monte_carlo_pd,
     count_test,
     glrt,
     make_count_plan,
@@ -33,6 +35,7 @@ from helpers import (
     bern55,
     brute_force_max_assignment,
     diag_model,
+    full_chunk_monte_carlo_pd,
     gauss,
     independent_model,
     permutation_log_statistic,
@@ -236,6 +239,20 @@ class TestCountPlan:
         assert abs(mc - plan.pd) < 4 * se
 
 
+class TestMonteCarloPdKernel:
+    @pytest.mark.parametrize("d", [1, 10, 100, 333])
+    @pytest.mark.parametrize("rho", [0.25, 0.75, -0.5])
+    def test_equals_full_chunk_expression(self, rho, d):
+        """The blockwise z draws and in-place arithmetic reproduce the
+        whole-chunk expression exactly; 100_001 samples end on a partial
+        chunk for d >= 100."""
+        model = gauss(rho)
+        tau = 0.5 * kl_divergences(model).kl_pq
+        assert _monte_carlo_pd(model, d, tau, 100_001, 7) == (
+            full_chunk_monte_carlo_pd(model, d, tau, 100_001, 7)
+        )
+
+
 class TestCountTest:
     def test_single_row_certain_detection(self):
         model = diag_model()
@@ -301,6 +318,20 @@ class TestCountTest:
             false_alarms += count_test(model, pair, plan).decision
         freq = false_alarms / trials
         assert freq <= min(1.0, bound) + 3 * math.sqrt(max(freq, 1e-3) / trials)
+
+    def test_shared_cache_gives_same_verdicts(self):
+        model = make_bernoulli(0.6, 0.3)
+        plan = make_count_plan(model, d=12, tau_count=0.05)
+        pair = sample_null(model, 9, 12, seed=4)
+        cache = PairCache(model, pair)
+        shared = (glrt(model, pair, cache=cache), count_test(model, pair, plan, cache))
+        alone = (glrt(model, pair), count_test(model, pair, plan))
+        for a, b in zip(shared, alone):
+            assert (a.decision, a.statistic, a.threshold) == (
+                b.decision, b.statistic, b.threshold
+            )
+        assert np.array_equal(shared[0].aux["sigma"], alone[0].aux["sigma"])
+        assert cache.llr() is cache.llr()
 
     def test_aux_records(self):
         model = diag_model()

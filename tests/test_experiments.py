@@ -1,11 +1,13 @@
 """Risk harness, sweeps, exact total-variation oracle, bound report."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dbdetect import experiments
+from dbdetect import detectors, experiments
+from dbdetect import rng as rngmod
 from dbdetect.errors import CapacityError, ValidationError
 from dbdetect.experiments import (
     SweepGrid,
@@ -16,7 +18,7 @@ from dbdetect.experiments import (
     exact_tv_small,
     sweep,
 )
-from dbdetect.models import make_bernoulli
+from dbdetect.models import make_bernoulli, sample_alt_rng, sample_null_rng
 from dbdetect.spectral import (
     MOMENT_MAX_N,
     eigenvalues,
@@ -112,6 +114,95 @@ class TestEstimateRisk:
         )
         results = estimate_risk(plan)
         assert [e.detector for e in results] == ["np-oracle", "glrt"]
+
+    def test_one_llr_matrix_per_pair(self, monkeypatch):
+        calls = []
+        original = detectors.pair_llr_matrix
+
+        def counting(model, x, y):
+            calls.append(1)
+            return original(model, x, y)
+
+        monkeypatch.setattr(detectors, "pair_llr_matrix", counting)
+        plan = TrialPlan(
+            model=make_bernoulli(0.6, 0.3), n=5, d=6, trials=4, seed=1,
+            detectors=("glrt", "count", "np-oracle", "glrt"), tau_count="half-kl",
+        )
+        estimate_risk(plan, threads=1)
+        assert len(calls) == 2 * plan.trials
+
+
+VACUOUS = (
+    "count-test threshold is vacuous: pd = 0 (tau_count above the reachable "
+    "LLR range)"
+)
+
+
+class TestDeferredCountDecisions:
+    """The count plan runs as a unit of the trial pool and the count
+    decisions wait for it; none of that shows in the outputs."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "model,pd_samples", [(diag_model(), None), (gauss(0.5), 2000)]
+    )
+    def test_vacuous_plan_raises_from_estimate_risk(self, model, pd_samples, threads):
+        extra = {} if pd_samples is None else {"pd_samples": pd_samples}
+        plan = small_plan(
+            model=model, n=5, d=3, trials=6, detectors=("glrt", "count"),
+            tau_count=1e6, **extra,
+        )
+        with pytest.raises(ValidationError, match=re.escape(VACUOUS)):
+            estimate_risk(plan, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_vacuous_plan_is_a_point_error_in_sweeps(self, threads):
+        plan = small_plan(
+            model=diag_model(), n=5, d=3, trials=6, detectors=("sum", "count"),
+            tau_count=1e6, sweep=SweepGrid(d_values=(2, 3)),
+        )
+        errors = []
+        assert sweep(plan, threads=threads, error_sink=errors) == []
+        assert [(e.d, e.message) for e in errors] == [(2, VACUOUS), (3, VACUOUS)]
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            TrialPlan(
+                model=make_bernoulli(0.6, 0.3), n=12, d=20, trials=30, seed=8,
+                detectors=("glrt", "count"), tau_count="half-kl",
+            ),
+            TrialPlan(
+                model=gauss(0.4), n=10, d=8, trials=40, seed=8,
+                detectors=("sum", "count"), tau_count="half-kl", pd_samples=20_000,
+            ),
+        ],
+        ids=["bernoulli-glrt-count", "gaussian-sum-count"],
+    )
+    def test_csv_bytes_equal_across_threads(self, plan):
+        outputs = {estimates_to_csv(estimate_risk(plan, threads=t)) for t in (1, 2, 8)}
+        assert len(outputs) == 1
+
+    def test_count_threshold_and_statistic_match_count_test(self):
+        """The harness's count row equals deciding each trial's pairs with
+        ``count_test`` itself."""
+        model = gauss(0.6)
+        plan = TrialPlan(
+            model=model, n=7, d=5, trials=12, seed=4, detectors=("count",),
+            tau_count=0.1, pd_samples=5000,
+        )
+        (est,) = estimate_risk(plan, threads=2)
+        count_plan = detectors.make_count_plan(model, 5, 0.1, samples=5000, seed=4)
+        samplers = [(rngmod.RISK_NULL, sample_null_rng), (rngmod.RISK_ALT, sample_alt_rng)]
+        decisions = [[], []]
+        for trial in range(plan.trials):
+            for h, (purpose, sample) in enumerate(samplers):
+                rng = rngmod.substream(plan.seed, purpose, 0, trial)
+                pair = sample(model, plan.n, plan.d, rng)
+                decisions[h].append(detectors.count_test(model, pair, count_plan).decision)
+        assert est.threshold == 0.5 * plan.n * count_plan.pd
+        assert est.fpr == float(np.mean(decisions[0]))
+        assert est.fnr == float(1.0 - np.mean(decisions[1]))
 
 
 class TestSweep:
