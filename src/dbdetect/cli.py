@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--threads",
                 type=int,
-                help="worker threads (default: DBDETECT_THREADS or all cores)",
+                metavar="N",
+                help="at most N worker threads (default: DBDETECT_THREADS or all cores)",
             )
             p.add_argument("--format", choices=["csv", "json"], default="csv")
         if nd:

@@ -10,9 +10,14 @@ so results are bit-identical across thread counts and across runs.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -180,6 +185,9 @@ def bind_detectors(
 
 
 def thread_count(override: Optional[int] = None) -> int:
+    """The cap on a risk point's worker threads: ``override``, else
+    ``DBDETECT_THREADS``, else the core count.  A point may use fewer; see
+    :func:`point_workers`."""
     if override is not None:
         return max(1, int(override))
     env = os.environ.get("DBDETECT_THREADS")
@@ -191,6 +199,118 @@ def thread_count(override: Optional[int] = None) -> int:
                 f"DBDETECT_THREADS must be an integer, got {env!r}"
             ) from None
     return os.cpu_count() or 1
+
+
+# Detectors whose trials hold the interpreter lock: the assignment solver's
+# row scan and the permanent's subset DP are many small numpy calls.  Seconds
+# per point, 1 worker / 2 workers: glrt (Gaussian, d=10) n=100, 16 trials
+# 0.24/0.32, n=300, 4 trials 0.45/0.47; np-oracle+glrt (Bernoulli, n=8,
+# d=10, 50 trials) 0.10/0.13.
+GIL_BOUND_DETECTORS = ("glrt", "np-oracle")
+# A trial's work outside the interpreter lock grows with the n x d databases
+# it draws and, for the count test, with the n x n x d LLR matrix product.
+# Below both sizes a second worker mostly waits for the lock.  Seconds per
+# Gaussian point (rho=0.25, min(600, 2e6 / (n d)) trials), 1 worker with
+# default BLAS threads / 2 workers with BLAS pinned, 2-vCPU Xeon, numpy
+# 2.4.6, median of 3.  The machine is shared and repeats of a cell varied by
+# up to a third, so each cut-off sits between cells that are clear on either
+# side: n d = 5000 between 3000 and 9000, n^2 d = 1.5e5 between count at
+# (n=100, d=10) and (n=300, d=2).
+#   sum     d=2        d=10       d=30       d=100
+#   n=100   0.20/0.18  0.26/0.26  0.35/0.36  0.27/0.18
+#   n=300   0.28/0.33  0.36/0.48  0.31/0.20  0.29/0.14
+#   n=1000  0.46/0.51  0.35/0.25  0.25/0.17  0.19/0.11
+#   count   d=2        d=10       d=30       d=100
+#   n=100   0.29/0.42  0.36/0.46  0.63/0.49  0.83/0.56
+#   n=300   1.21/0.81  1.47/0.94  0.86/0.48  0.88/0.54
+#   n=1000  10.9/5.56  4.05/2.07  1.58/0.90  1.19/0.67
+POOL_MIN_ND = 5_000
+POOL_MIN_COUNT_NND = 150_000
+
+
+def point_workers(plan: TrialPlan, n: int, d: int, threads: int) -> int:
+    """Worker threads for one risk point of ``plan`` at (n, d), at most
+    ``threads``: one where the trials are GIL-bound, else one per trial up to
+    the cap."""
+    if any(name in GIL_BOUND_DETECTORS for name in plan.detectors):
+        return 1
+    pooled = n * d >= POOL_MIN_ND or (
+        "count" in plan.detectors and n * n * d >= POOL_MIN_COUNT_NND
+    )
+    return min(threads, plan.trials) if pooled else 1
+
+
+# get/set symbol pairs of the OpenBLAS thread count, in the order tried:
+# numpy's bundled scipy-openblas (ILP64), then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """``(get, set)`` of the OpenBLAS thread count numpy's products use, or
+    None when no loaded OpenBLAS exports them.  The library is looked for
+    among the ones this process has mapped, then in ``numpy.libs``."""
+    paths = []
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            for line in fh:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
+                    paths.append(fields[5].strip())
+    except OSError:
+        pass
+    numpy_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    paths += glob.glob(os.path.join(numpy_libs, "*openblas*"))
+    for path in dict.fromkeys(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get_threads = getattr(lib, get_name, None)
+            set_threads = getattr(lib, set_name, None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+                set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+                return get_threads, set_threads
+    return None
+
+
+class _BlasPin:
+    """Depth count of the pooled points running, and the OpenBLAS thread
+    count saved by the first of them.  The count is process-global, so
+    concurrent points share one pin and the last one out restores it."""
+
+    lock = threading.Lock()
+    depth = 0
+    saved = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread(active: bool):
+    """While ``active``, numpy's OpenBLAS runs each product on the calling
+    thread, so a pool of workers does not multiply with BLAS threads.  Does
+    nothing where the thread count cannot be set."""
+    functions = _openblas_thread_functions() if active else None
+    if functions is None:
+        yield
+        return
+    get_threads, set_threads = functions
+    with _BlasPin.lock:
+        if _BlasPin.depth == 0:
+            _BlasPin.saved = get_threads()
+            set_threads(1)
+        _BlasPin.depth += 1
+    try:
+        yield
+    finally:
+        with _BlasPin.lock:
+            _BlasPin.depth -= 1
+            if _BlasPin.depth == 0:
+                set_threads(_BlasPin.saved)
 
 
 def _run_point(
@@ -207,7 +327,8 @@ def _run_point(
     the same pool as the trials, so it runs while they do; the count
     decisions ``statistic >= n * pd / 2`` are taken once all units are in.
     A plan that fails, or whose pd makes the threshold vacuous, raises
-    before any trial's error."""
+    before any trial's error.  The pool has :func:`point_workers` threads,
+    and while it has more than one, OpenBLAS is held to one thread."""
     names = plan.detectors
     tau_count = (
         _resolve_tau_count(model, plan.tau_count) if "count" in names else None
@@ -218,28 +339,29 @@ def _run_point(
     ]
     m_trials = plan.trials
     k = len(names)
-    # [hypothesis, detector, trial]: a decision, or the count statistic
-    records = np.zeros((2, k, m_trials), dtype=np.int64)
     thresholds = np.zeros(k)
 
-    def run_trial(trial: int) -> None:
+    def run_trial(trial: int) -> np.ndarray:
+        """[hypothesis, detector]: a decision, or the count statistic."""
         rng0 = rngmod.substream(plan.seed, rngmod.RISK_NULL, point_index, trial)
         pair0 = sample_null_rng(model, n, d, rng0)
         rng1 = rngmod.substream(plan.seed, rngmod.RISK_ALT, point_index, trial)
         pair1 = sample_alt_rng(model, n, d, rng1)
         pairs = (pair0, pair1)
         caches = (PairCache(model, pair0), PairCache(model, pair1))
+        record = np.empty((2, k), dtype=np.int64)
         for idx, evaluate in enumerate(verdict_fns):
             for h in (0, 1):
                 if evaluate is None:
-                    records[h, idx, trial] = count_statistic(
+                    record[h, idx] = count_statistic(
                         model, pairs[h], tau_count, cache=caches[h]
                     )
                     continue
                 verdict = evaluate(pairs[h], caches[h])
-                records[h, idx, trial] = verdict.decision
+                record[h, idx] = verdict.decision
                 if trial == 0 and h == 0:
                     thresholds[idx] = verdict.threshold
+        return record
 
     def run_unit(unit: Optional[int]):
         if unit is None:  # the count plan
@@ -249,16 +371,16 @@ def _run_point(
     units: list[Optional[int]] = list(range(m_trials))
     if tau_count is not None:
         units.insert(0, None)
-    workers = min(threads, m_trials)
-    if workers <= 1:
-        results = [run_unit(unit) for unit in units]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_unit, units))
+    workers = point_workers(plan, n, d, threads)
+    with _one_blas_thread(workers > 1), ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run_unit, units))
+    count_at = results.pop(0) if tau_count is not None else None
+    # [hypothesis, detector, trial]
+    records = np.stack(results, axis=-1)
     for idx, evaluate in enumerate(verdict_fns):
         if evaluate is None:
-            thresholds[idx] = results[0]
-            records[:, idx] = records[:, idx] >= results[0]
+            thresholds[idx] = count_at
+            records[:, idx] = records[:, idx] >= count_at
 
     out = []
     for idx, name in enumerate(names):

@@ -128,17 +128,6 @@ def psi_p(model: JointModel, lam: float) -> float:
     return psi_q(model, lam + 1.0)
 
 
-def psi_p_gaussian_direct(rho: float, lam: float) -> float:
-    """Independent closed form of the Gaussian psi_p, kept for
-    cross-validation against the tilt identity:
-    -(lam / 2) log(1 - rho^2) - (1/2) log(1 - lam^2 rho^2)."""
-    if not abs(lam) < 1.0 / abs(rho):
-        raise DomainError(f"|lam| must be below 1/|rho| = {1.0 / abs(rho):g}")
-    return -0.5 * lam * math.log(1.0 - rho * rho) - 0.5 * math.log(
-        1.0 - lam * lam * rho * rho
-    )
-
-
 def kl_divergences(model: JointModel) -> Divergences:
     """(KL(P||Q), KL(Q||P), symmetric KL).  Exact sums for discrete models,
     closed forms for the Gaussian family."""

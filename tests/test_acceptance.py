@@ -426,6 +426,13 @@ def test_criterion_9_determinism_across_runs_and_threads(tmp_path):
         "detectors = sum count glrt\ntau_count = half-kl\npd_samples = 4000\n\n"
         "[sweep]\nrho = 0.4 0.7\nd = 2 4\n"
     )
+    # big enough (n * d = 10^4) that its trials run on a pool of workers
+    pooled_path = tmp_path / "pooled.txt"
+    pooled_path.write_text(
+        "[model]\nkind = gaussian\nrho = 0.3\n\n"
+        "[run]\nn = 100\nd = 100\ntrials = 20\nseed = 5\n"
+        "detectors = sum count\ntau_count = half-kl\npd_samples = 2000\n"
+    )
     outputs = {}
     for label, threads in [("a", 1), ("b", 1), ("c", 8)]:
         sample_prefix = tmp_path / f"s_{label}"
@@ -504,12 +511,28 @@ def test_criterion_9_determinism_across_runs_and_threads(tmp_path):
             )
             == 0
         )
+        pooled_out = tmp_path / f"pooled_{label}.csv"
+        assert (
+            cli_main(
+                [
+                    "risk",
+                    "--plan",
+                    str(pooled_path),
+                    "--threads",
+                    str(threads),
+                    "--out",
+                    str(pooled_out),
+                ]
+            )
+            == 0
+        )
         outputs[label] = (
             (sample_prefix.parent / (sample_prefix.name + "_X.csv")).read_bytes(),
             (sample_prefix.parent / (sample_prefix.name + "_Y.csv")).read_bytes(),
             detect_out.read_bytes(),
             risk_out.read_bytes(),
             sweep_out.read_bytes(),
+            pooled_out.read_bytes(),
         )
     ok = outputs["a"] == outputs["b"] == outputs["c"]
     report(

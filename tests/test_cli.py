@@ -252,6 +252,21 @@ rho = 0.4 0.7
 d = 2 5
 """
 
+POOLED_PLAN_TEXT = """
+[model]
+kind = gaussian
+rho = 0.3
+
+[run]
+n = 100
+d = 100
+trials = 20
+seed = 11
+detectors = sum count
+tau_count = half-kl
+pd_samples = 2000
+"""
+
 
 class TestPlans:
     def test_load_plan(self, tmp_path):
@@ -286,8 +301,10 @@ class TestPlans:
         assert outputs[0] == outputs[1]
 
     def test_workers_clamped_to_trials(self, tmp_path, monkeypatch):
-        """--threads 64 with 3 trials asks the pool for 3 workers.  The fake
-        pool runs the trials serially, so no thread starts."""
+        """--threads 64 with 3 trials asks the pool for 3 workers on a point
+        big enough to pool (n * d = 10^4), and for 1 on GIL-bound points
+        (n * d = 30).  The fake pool runs the units serially, so no thread
+        starts."""
         requested = []
 
         class SerialPool:
@@ -304,11 +321,14 @@ class TestPlans:
                 return [fn(*args) for args in zip(*iterables)]
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
-        path = tmp_path / "plan.txt"
-        path.write_text(PLAN_TEXT)
+        pooled = tmp_path / "pooled.txt"
+        pooled.write_text(POOLED_PLAN_TEXT)
+        gil_bound = tmp_path / "plan.txt"
+        gil_bound.write_text(PLAN_TEXT)
         threads_before = threading.active_count()
-        outputs = []
-        for threads in (1, 64):
+
+        def risk(path, threads):
+            del requested[:]
             out = tmp_path / f"r{threads}.csv"
             assert (
                 run_cli(
@@ -317,9 +337,15 @@ class TestPlans:
                 )
                 == 0
             )
-            outputs.append(out.read_bytes())
+            return out.read_bytes()
+
+        outputs = [risk(pooled, 1)]
+        assert requested == [1]
+        outputs.append(risk(pooled, 64))
         assert requested == [3]
         assert outputs[0] == outputs[1]
+        risk(gil_bound, 64)
+        assert requested == [1]
         assert threading.active_count() == threads_before
 
     def test_sweep_runs_and_is_deterministic(self, tmp_path):

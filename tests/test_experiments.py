@@ -2,6 +2,9 @@
 
 import math
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -50,13 +53,50 @@ def small_plan(**kwargs):
     return TrialPlan(**defaults)
 
 
+def pool_plan(**kwargs):
+    """A Gaussian sum+count point big enough (n * d = 10^4) to run on one
+    worker per thread, up to its trials."""
+    defaults = dict(
+        model=gauss(0.3),
+        n=100,
+        d=100,
+        trials=20,
+        seed=12,
+        detectors=("sum", "count"),
+        tau_count="half-kl",
+        pd_samples=2000,
+    )
+    defaults.update(kwargs)
+    return TrialPlan(**defaults)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces the harness's pool by a real one that records the workers it
+    was asked for and the per-unit results of each point."""
+    log = {"workers": [], "results": []}
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            log["workers"].append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def map(self, fn, *iterables):
+            results = list(super().map(fn, *iterables))
+            log["results"].append(results)
+            return iter(results)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    return log
+
+
 class TestEstimateRisk:
     def test_deterministic_across_runs_and_threads(self):
-        plan = small_plan(detectors=("sum", "glrt"))
-        a = estimate_risk(plan, threads=1)
-        b = estimate_risk(plan, threads=1)
-        c = estimate_risk(plan, threads=4)
-        assert estimates_to_csv(a) == estimates_to_csv(b) == estimates_to_csv(c)
+        for plan in (small_plan(detectors=("sum", "glrt")), pool_plan()):
+            a = estimate_risk(plan, threads=1)
+            b = estimate_risk(plan, threads=1)
+            c = estimate_risk(plan, threads=4)
+            assert estimates_to_csv(a) == estimates_to_csv(b) == estimates_to_csv(c)
 
     def test_near_independent_model_has_risk_one(self):
         plan = TrialPlan(
@@ -176,8 +216,9 @@ class TestDeferredCountDecisions:
                 model=gauss(0.4), n=10, d=8, trials=40, seed=8,
                 detectors=("sum", "count"), tau_count="half-kl", pd_samples=20_000,
             ),
+            pool_plan(),
         ],
-        ids=["bernoulli-glrt-count", "gaussian-sum-count"],
+        ids=["bernoulli-glrt-count", "gaussian-sum-count", "gaussian-pooled-sum-count"],
     )
     def test_csv_bytes_equal_across_threads(self, plan):
         outputs = {estimates_to_csv(estimate_risk(plan, threads=t)) for t in (1, 2, 8)}
@@ -203,6 +244,128 @@ class TestDeferredCountDecisions:
         assert est.threshold == 0.5 * plan.n * count_plan.pd
         assert est.fpr == float(np.mean(decisions[0]))
         assert est.fnr == float(1.0 - np.mean(decisions[1]))
+
+
+class TestWorkers:
+    """A point runs on one worker where its trials hold the interpreter lock,
+    and on up to ``threads`` workers otherwise; OpenBLAS is held to one
+    thread while a pool of several runs and restored afterwards."""
+
+    @pytest.mark.parametrize(
+        "plan,workers",
+        [
+            (pool_plan(), {1: 1, 2: 2, 8: 8}),
+            (pool_plan(trials=3), {1: 1, 2: 2, 8: 3}),
+            (pool_plan(detectors=("sum",), n=49), {1: 1, 2: 1, 8: 1}),
+            (pool_plan(detectors=("sum",), n=50), {1: 1, 2: 2, 8: 8}),
+            (pool_plan(n=100, d=10), {1: 1, 2: 1, 8: 1}),
+            (pool_plan(n=300, d=2), {1: 1, 2: 2, 8: 8}),
+            (pool_plan(detectors=("glrt",)), {1: 1, 2: 1, 8: 1}),
+            (pool_plan(detectors=("sum", "np-oracle")), {1: 1, 2: 1, 8: 1}),
+        ],
+        ids=[
+            "pooled", "capped-by-trials", "sum-below-nd", "sum-at-nd",
+            "count-below-nnd", "count-above-nnd", "glrt", "np-oracle",
+        ],
+    )
+    def test_point_workers(self, plan, workers):
+        got = {t: experiments.point_workers(plan, plan.n, plan.d, t) for t in workers}
+        assert got == workers
+
+    def test_pooled_records_equal_across_threads(self, recording_pool):
+        """The per-trial records (decisions and count statistics) and the
+        count threshold are the same on 1, 2 and 8 workers."""
+        plan = pool_plan()
+        for threads in (1, 2, 8):
+            estimate_risk(plan, threads=threads)
+        assert recording_pool["workers"] == [1, 2, 8]
+        thresholds = [results[0] for results in recording_pool["results"]]
+        records = [np.stack(results[1:]) for results in recording_pool["results"]]
+        assert thresholds[0] == thresholds[1] == thresholds[2]
+        assert records[0].shape == (plan.trials, 2, 2)
+        assert np.array_equal(records[0], records[1])
+        assert np.array_equal(records[0], records[2])
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """The OpenBLAS thread count getter, with the count set to 2 so that a pin
+    to 1 shows; every call to it from inside sum_test is logged."""
+    functions = experiments._openblas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread count")
+    get_threads, set_threads = functions
+    before = get_threads()
+    set_threads(2)
+    seen = []
+    original = experiments.sum_test
+
+    def observing(*args, **kwargs):
+        seen.append(get_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sum_test", observing)
+    yield get_threads, seen
+    set_threads(before)
+
+
+class TestBlasPin:
+    def test_pooled_point_pins_and_restores(self, blas_threads):
+        get_threads, seen = blas_threads
+        estimate_risk(pool_plan(), threads=2)
+        assert set(seen) == {1}
+        assert get_threads() == 2
+
+    def test_restored_after_a_point_raises(self, blas_threads):
+        get_threads, _ = blas_threads
+        with pytest.raises(ValidationError, match=re.escape(VACUOUS)):
+            estimate_risk(pool_plan(tau_count=1e6), threads=2)
+        assert get_threads() == 2
+
+    def test_one_worker_point_leaves_blas_alone(self, blas_threads):
+        get_threads, seen = blas_threads
+        estimate_risk(small_plan(), threads=2)
+        estimate_risk(pool_plan(), threads=1)
+        assert set(seen) == {2}
+        assert get_threads() == 2
+
+    def test_concurrent_points_restore_the_original(self, blas_threads):
+        """More callers than cores, with short switch intervals: the pin
+        holds while any pooled point runs, and the last one out restores."""
+        get_threads, seen = blas_threads
+        callers_n = 4
+        barrier = threading.Barrier(callers_n)
+        errors = []
+
+        def run(seed):
+            try:
+                barrier.wait(timeout=60)
+                estimate_risk(pool_plan(seed=seed), threads=2)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        callers = [
+            threading.Thread(target=run, args=(seed,)) for seed in range(callers_n)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert errors == []
+        assert set(seen) == {1}
+        assert get_threads() == 2
+
+    def test_same_bytes_without_a_blas_library(self, monkeypatch):
+        plan = pool_plan()
+        pinned = estimates_to_csv(estimate_risk(plan, threads=2))
+        monkeypatch.setattr(experiments, "_openblas_thread_functions", lambda: None)
+        assert estimates_to_csv(estimate_risk(plan, threads=2)) == pinned
 
 
 class TestSweep:

@@ -14,7 +14,6 @@ from dbdetect.exponents import (
     kl_divergences,
     llr_atoms,
     psi_p,
-    psi_p_gaussian_direct,
     psi_q,
     var_q_centered_kernel,
 )
@@ -27,6 +26,7 @@ from helpers import (
     gauss_expect_2d,
     gauss_llr_values,
     independent_model,
+    psi_p_gaussian_direct,
     random_discrete_model,
 )
 
