@@ -106,8 +106,8 @@ def cmd_detect(args) -> int:
     )
     cache = PairCache(model, pair)
     verdicts = [
-        evaluate(pair, cache)
-        for _, evaluate in experiments.bind_detectors(model, pair.d, plan)
+        detector.verdict(pair, cache)
+        for detector in experiments.prepare(model, pair.n, pair.d, plan)
     ]
     if args.format == "csv":
         lines = ["detector,decision,statistic,threshold"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -102,8 +102,227 @@ class PairCache:
         return self._llr
 
 
-def _llr(model: JointModel, pair: DatabasePair, cache: Optional[PairCache]):
-    return (cache if cache is not None else PairCache(model, pair)).llr()
+def require_number(value, name: str) -> float:
+    """A threshold or per-pair level as a float; NaN is rejected, since
+    every comparison with it is false."""
+    value = float(value)
+    if math.isnan(value):
+        raise ValidationError(f"{name} must be a number, got nan")
+    return value
+
+
+class PreparedDetector:
+    """A detector bound to a model and a database shape (n, d), with the
+    work that does not depend on the pair done once: model checks,
+    constants, and the threshold.
+
+    ``evaluate(pair, cache)`` returns the statistic of a pair drawn by the
+    risk harness, trusting its data, and the decision is ``statistic >=
+    cut`` (ties decide "dependent").  ``threshold`` is the threshold as
+    verdicts and risk rows report it.  ``verdict(pair, cache)`` checks the
+    pair's data and returns the public detector's :class:`Verdict`.  A
+    threshold that needs work of its own (the count test's ``pd``) is
+    ``None`` until ``settle()`` computes it."""
+
+    name: str
+    cut: Optional[float]
+    threshold: Optional[float]
+
+    def settle(self) -> float:
+        return self.cut
+
+    def evaluate(self, pair: DatabasePair, cache: PairCache) -> float:
+        raise NotImplementedError
+
+    def verdict(
+        self, pair: DatabasePair, cache: Optional[PairCache] = None
+    ) -> Verdict:
+        raise NotImplementedError
+
+
+class PreparedGlrt(PreparedDetector):
+    """Scan test: the maximum row-matching log-likelihood ratio over all
+    permutations (a maximum-weight assignment on the all-pairs LLR matrix),
+    divided by d*n."""
+
+    name = "glrt"
+
+    def __init__(self, model: JointModel, n: int, d: int, tau: float = 0.0):
+        _require_usable(model, "glrt")
+        self.model = model
+        self.threshold = self.cut = require_number(tau, "tau")
+
+    def _solve(self, pair: DatabasePair, cache: PairCache):
+        sigma, value = solve_max(cache.llr())
+        return sigma, value / (pair.d * pair.n)
+
+    def evaluate(self, pair, cache):
+        return self._solve(pair, cache)[1]
+
+    def verdict(self, pair, cache=None):
+        sigma, statistic = self._solve(pair, _cache(self.model, pair, cache))
+        return Verdict(
+            decision=int(statistic >= self.cut),
+            statistic=float(statistic),
+            threshold=self.threshold,
+            detector=self.name,
+            aux={"sigma": sigma},
+        )
+
+
+def _sum_statistic(table, c2, x: np.ndarray, y: np.ndarray) -> float:
+    """Grand sum of the centered kernel over all (row_x, row_y, feature)
+    triples, unnormalised.
+
+    Gaussian (``c2 = rho/(1-rho^2)``): c2 times the sum of all entries of
+    x y^T, computed from the feature-wise column sums.  Discrete: an exact
+    contraction of the per-feature symbol counts against the centered-kernel
+    ``table``.
+    """
+    if c2 is not None:
+        return float(c2 * (x.sum(axis=0) @ y.sum(axis=0)))
+    m = table.shape[0]
+    counts_x = np.stack([(x == a).sum(axis=0) for a in range(m)], axis=1).astype(
+        np.float64
+    )
+    counts_y = np.stack([(y == b).sum(axis=0) for b in range(m)], axis=1).astype(
+        np.float64
+    )
+    return float(np.einsum("la,ab,lb->", counts_x, table, counts_y))
+
+
+class PreparedSum(PreparedDetector):
+    """Sum test: threshold the grand centered-kernel sum.
+
+    The default threshold is d * n * skl, the midpoint between the null mean
+    (zero, by centering) and the dependent mean (2 d n skl).
+    """
+
+    name = "sum"
+
+    def __init__(
+        self, model: JointModel, n: int, d: int, tau: Optional[float] = None
+    ):
+        _require_usable(model, "sum_test")
+        div = kl_divergences(model)
+        if div.skl <= 0.0 or (
+            isinstance(model, DiscreteJointModel) and model.is_independent
+        ):
+            raise DegenerateModelError(
+                "sum test is undefined for an independent model (its threshold "
+                "d*n*skl vanishes and every decision would be 1)"
+            )
+        if tau is None:
+            tau = d * n * div.skl
+        self.model = model
+        self.threshold = self.cut = require_number(tau, "tau")
+        self._table, self._c2 = _centered_table_and_c2(model)
+
+    def evaluate(self, pair, cache):
+        return _sum_statistic(self._table, self._c2, pair.x, pair.y)
+
+    def verdict(self, pair, cache=None):
+        if self._c2 is not None:
+            x = pair.x.astype(np.float64)
+            y = pair.y.astype(np.float64)
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise ValidationError("non-finite observation in the data matrices")
+        else:
+            x = _check_symbols(self.model, pair.x)
+            y = _check_symbols(self.model, pair.y)
+        statistic = _sum_statistic(self._table, self._c2, x, y)
+        return Verdict(
+            decision=int(statistic >= self.cut),
+            statistic=statistic,
+            threshold=self.threshold,
+            detector=self.name,
+            aux={},
+        )
+
+
+class PreparedCount(PreparedDetector):
+    """Count test: the number of row pairs whose per-feature mean LLR
+    reaches tau_count, thresholded against n * pd / 2.
+
+    The statistic needs no ``pd``, so ``plan_source`` (a callable returning
+    the :class:`CountTestPlan`) runs only when ``settle`` is first called:
+    the risk harness records count statistics while the plan is estimated.
+    """
+
+    name = "count"
+
+    def __init__(
+        self,
+        model: JointModel,
+        n: int,
+        d: int,
+        tau_count: float,
+        plan_source: Callable[[], CountTestPlan],
+    ):
+        self.model = model
+        self.n = n
+        self.tau_count = require_number(tau_count, "tau_count")
+        self._plan_source = plan_source
+        self.plan: Optional[CountTestPlan] = None
+        self.threshold = self.cut = None
+
+    def settle(self) -> float:
+        if self.cut is None:
+            plan = self._plan_source()
+            self.threshold = self.cut = count_threshold(self.n, plan)
+            self.plan = plan
+        return self.cut
+
+    def evaluate(self, pair, cache):
+        return int(np.count_nonzero(cache.llr() / pair.d >= self.tau_count))
+
+    def verdict(self, pair, cache=None):
+        threshold = self.settle()
+        count = self.evaluate(pair, _cache(self.model, pair, cache))
+        return Verdict(
+            decision=int(count >= threshold),
+            statistic=float(count),
+            threshold=threshold,
+            detector=self.name,
+            aux={"count": count, "pd": self.plan.pd, "tau_count": self.plan.tau_count},
+        )
+
+
+class PreparedNpOracle(PreparedDetector):
+    """Exact mixture-likelihood test: average the row-matching likelihood
+    ratio over all n! permutations, perm(exp C) / n! for the all-pairs LLR
+    matrix C, and threshold at 1 (ties decide "dependent").  The statistic
+    it evaluates is the log of that average, against 0."""
+
+    name = "np-oracle"
+    threshold = 1.0
+    cut = 0.0
+
+    def __init__(self, model: JointModel, n: int, d: int):
+        _require_usable(model, "np_oracle")
+        if n > NP_ORACLE_MAX_N:
+            raise CapacityError(
+                f"np_oracle's subset DP over 2^n column sets supports n <= "
+                f"{NP_ORACLE_MAX_N}, got n={n}"
+            )
+        self.model = model
+
+    def evaluate(self, pair, cache):
+        return _log_permanent_ratio(cache.llr())
+
+    def verdict(self, pair, cache=None):
+        log_stat = self.evaluate(pair, _cache(self.model, pair, cache))
+        return Verdict(
+            decision=int(log_stat >= self.cut),
+            statistic=float(math.exp(log_stat)) if log_stat < 700 else math.inf,
+            threshold=self.threshold,
+            detector=self.name,
+            aux={"log_statistic": log_stat},
+        )
+
+
+def _cache(model: JointModel, pair: DatabasePair, cache: Optional[PairCache]):
+    return cache if cache is not None else PairCache(model, pair)
 
 
 def glrt(
@@ -112,76 +331,17 @@ def glrt(
     tau: float = 0.0,
     cache: Optional[PairCache] = None,
 ) -> Verdict:
-    """Scan test: maximise the row-matching log-likelihood ratio over all
-    permutations (a maximum-weight assignment on the all-pairs LLR matrix)
-    and threshold the maximum divided by d*n."""
-    _require_usable(model, "glrt")
-    c = _llr(model, pair, cache)
-    sigma, value = solve_max(c)
-    statistic = value / (pair.d * pair.n)
-    return Verdict(
-        decision=int(statistic >= tau),
-        statistic=float(statistic),
-        threshold=float(tau),
-        detector="glrt",
-        aux={"sigma": sigma},
-    )
-
-
-def sum_statistic(model: JointModel, pair: DatabasePair) -> float:
-    """Grand sum of the centered kernel over all (row_x, row_y, feature)
-    triples, unnormalised.
-
-    Gaussian: rho/(1-rho^2) times the sum of all entries of x y^T, computed
-    from the feature-wise column sums.  Discrete: an exact contraction of the
-    per-feature symbol counts against the centered-kernel table.
-    """
-    table, c2 = _centered_table_and_c2(model)
-    if c2 is not None:
-        xf = pair.x.astype(np.float64)
-        yf = pair.y.astype(np.float64)
-        if not (np.all(np.isfinite(xf)) and np.all(np.isfinite(yf))):
-            raise ValidationError("non-finite observation in the data matrices")
-        return float(c2 * (xf.sum(axis=0) @ yf.sum(axis=0)))
-    m = model.alphabet_size
-    xi = _check_symbols(model, pair.x)
-    yi = _check_symbols(model, pair.y)
-    counts_x = np.stack([(xi == a).sum(axis=0) for a in range(m)], axis=1).astype(
-        np.float64
-    )
-    counts_y = np.stack([(yi == b).sum(axis=0) for b in range(m)], axis=1).astype(
-        np.float64
-    )
-    return float(np.einsum("la,ab,lb->", counts_x, table, counts_y))
+    """Scan test (see :class:`PreparedGlrt`) on one pair, thresholded at
+    ``tau``."""
+    return PreparedGlrt(model, pair.n, pair.d, tau).verdict(pair, cache)
 
 
 def sum_test(
     model: JointModel, pair: DatabasePair, tau: Optional[float] = None
 ) -> Verdict:
-    """Sum test: threshold the grand centered-kernel sum.
-
-    The default threshold is d * n * skl, the midpoint between the null mean
-    (zero, by centering) and the dependent mean (2 d n skl).
-    """
-    _require_usable(model, "sum_test")
-    div = kl_divergences(model)
-    if div.skl <= 0.0 or (
-        isinstance(model, DiscreteJointModel) and model.is_independent
-    ):
-        raise DegenerateModelError(
-            "sum test is undefined for an independent model (its threshold "
-            "d*n*skl vanishes and every decision would be 1)"
-        )
-    if tau is None:
-        tau = pair.d * pair.n * div.skl
-    statistic = sum_statistic(model, pair)
-    return Verdict(
-        decision=int(statistic >= tau),
-        statistic=statistic,
-        threshold=float(tau),
-        detector="sum",
-        aux={},
-    )
+    """Sum test (see :class:`PreparedSum`) on one pair; ``tau`` defaults
+    to d * n * skl."""
+    return PreparedSum(model, pair.n, pair.d, tau).verdict(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -232,35 +392,42 @@ def _exact_pd(model: DiscreteJointModel, d: int, tau_count: float) -> float:
 
 
 def _monte_carlo_pd(
-    model: GaussianModel, d: int, tau_count: float, samples: int, seed: int
-) -> tuple[float, float]:
-    """Seeded Monte-Carlo estimate of the matched-pair exceedance probability
-    for the Gaussian family, with its binomial standard error.
+    members: Sequence[tuple[GaussianModel, float]], d: int, samples: int, seed: int
+) -> list[tuple[float, float]]:
+    """Seeded Monte-Carlo estimates of the matched-pair exceedance
+    probability for Gaussian models, one ``(pd, stderr)`` per ``(model,
+    tau_count)`` member, with the binomial standard error.
 
     The stream is part of the reproducibility contract: ``samples`` matched
-    rows are drawn in chunks of ``4_000_000 // d`` rows, each chunk as a
-    block of ``a`` draws and then a block of ``z`` draws, with
-    ``b = rho * a + sqrt(1 - rho^2) * z``.  How the work on a chunk is split
-    is not.  The ``z`` block is drawn a few rows at a time (the normal
-    sampler consumes the stream value by value, so the values are the
-    same), and the arithmetic runs in place on those rows, about
-    ``_PD_BLOCK_ELEMS`` entries, in the whole-chunk expression's operation
-    order; every per-row total and every hit is the same for any block size.
+    rows are drawn from ``substream(seed, PD_ESTIMATE)`` in chunks of
+    ``4_000_000 // d`` rows, each chunk as a block of ``a`` draws and then a
+    block of ``z`` draws, and a member pairs them as ``b = rho * a +
+    sqrt(1 - rho^2) * z``.  So the draws depend only on ``(seed, d,
+    samples)``, not on rho or tau_count, and sharing them relies on that:
+    members with the same three share one pass (a sweep estimates all its
+    models' plans at one d in a single call), and each member's estimate
+    equals a call with that member alone.
+
+    How the work on a chunk is split is not part of the contract.  The
+    ``z`` block is drawn a few rows at a time (the normal sampler consumes
+    the stream value by value, so the values are the same).  Each member's
+    arithmetic runs on those rows, about ``_PD_BLOCK_ELEMS`` entries, in
+    scratch buffers and in the whole-chunk expression's operation order, so
+    every per-row total and every hit is the same for any block size.
     """
-    rho = model.rho
-    c = 1.0 - rho * rho
-    sqrt_c = math.sqrt(c)
-    two_rho = 2.0 * rho
+    params = []
+    for model, tau_count in members:
+        rho = model.rho
+        c = 1.0 - rho * rho
+        params.append(
+            (rho, c, math.sqrt(c), 2.0 * rho, -0.5 * d * math.log(c), d * tau_count)
+        )
     rng = rngmod.substream(seed, rngmod.PD_ESTIMATE)
-    target = d * tau_count
-    const = -0.5 * d * math.log(c)
-    hits = 0
+    hits = [0] * len(params)
     chunk = max(1, min(samples, 4_000_000 // max(d, 1)))
     block = max(1, min(chunk, _PD_BLOCK_ELEMS // d))
     a_chunk = np.empty((chunk, d))
-    z_block = np.empty((block, d))
-    b = np.empty((block, d))
-    t = np.empty((block, d))
+    z_block, aa, s, b, t = (np.empty((block, d)) for _ in range(5))
     done = 0
     while done < samples:
         size = min(chunk, samples - done)
@@ -270,26 +437,116 @@ def _monte_carlo_pd(
             rows = a.shape[0]
             # the chunk's z block, drawn in order a block of rows at a time
             z = rng.standard_normal(out=z_block[:rows])
-            bb, tt = b[:rows], t[:rows]
-            # b = rho * a + sqrt(c) * z
-            np.multiply(a, rho, out=bb)
-            np.multiply(z, sqrt_c, out=z)
-            np.add(bb, z, out=bb)
-            # -(a * a + b * b) * rho * rho + 2 * rho * a * b, z as scratch
-            np.multiply(a, a, out=tt)
-            np.multiply(bb, bb, out=z)
-            np.add(tt, z, out=tt)
-            np.negative(tt, out=tt)
-            np.multiply(tt, rho, out=tt)
-            np.multiply(tt, rho, out=tt)
-            np.multiply(a, two_rho, out=z)
-            np.multiply(z, bb, out=z)
-            np.add(tt, z, out=tt)
-            totals = const + tt.sum(axis=1) / (2.0 * c)
-            hits += int((totals >= target).sum())
+            a2, ss, bb, tt = aa[:rows], s[:rows], b[:rows], t[:rows]
+            np.multiply(a, a, out=a2)
+            for m, (rho, c, sqrt_c, two_rho, const, target) in enumerate(params):
+                # b = rho * a + sqrt(c) * z
+                np.multiply(a, rho, out=bb)
+                np.multiply(z, sqrt_c, out=ss)
+                np.add(bb, ss, out=bb)
+                # -(a * a + b * b) * rho * rho + 2 * rho * a * b; negating
+                # is exact, so -(t) * rho is t * -rho to the bit
+                np.multiply(bb, bb, out=ss)
+                np.add(a2, ss, out=tt)
+                np.multiply(tt, -rho, out=tt)
+                np.multiply(tt, rho, out=tt)
+                np.multiply(a, two_rho, out=ss)
+                np.multiply(ss, bb, out=ss)
+                np.add(tt, ss, out=tt)
+                totals = const + tt.sum(axis=1) / (2.0 * c)
+                hits[m] += int((totals >= target).sum())
         done += size
-    pd = hits / samples
-    return pd, math.sqrt(pd * (1.0 - pd) / samples)
+    estimates = []
+    for h in hits:
+        pd = h / samples
+        estimates.append((pd, math.sqrt(pd * (1.0 - pd) / samples)))
+    return estimates
+
+
+def resolve_pd_method(model: JointModel, method: str = "auto") -> str:
+    """The pd method ``make_count_plan`` uses for ``model``: "auto" is the
+    exact d-fold convolution for discrete models and the seeded Monte-Carlo
+    estimate for the Gaussian family."""
+    if method == "auto":
+        return "monte-carlo" if isinstance(model, GaussianModel) else "exact-convolution"
+    return method
+
+
+def _check_count_plan(
+    model: JointModel, d: int, tau_count: float, method: str, samples: int, seed
+) -> str:
+    """Reject arguments ``make_count_plan`` cannot use; return the method."""
+    if d < 1:
+        raise ValidationError(f"d must be >= 1, got {d}")
+    require_number(tau_count, "tau_count")
+    _require_usable(model, "make_count_plan")
+    method = resolve_pd_method(model, method)
+    if method == "exact-convolution":
+        if isinstance(model, GaussianModel):
+            raise ValidationError(
+                "exact-convolution is unsupported for gaussian models; the LLR "
+                "has no finite atom law (use method='monte-carlo')"
+            )
+    elif method == "monte-carlo":
+        if not isinstance(model, GaussianModel):
+            raise ValidationError(
+                "monte-carlo pd estimation is wired for gaussian models; "
+                "discrete models have an exact method"
+            )
+        if seed is None:
+            raise ValidationError("monte-carlo pd estimation requires a seed")
+        if samples < 1:
+            raise ValidationError(f"samples must be >= 1, got {samples}")
+    else:
+        raise ValidationError(f"unknown pd method {method!r}")
+    return method
+
+
+def make_count_plans(
+    members: Sequence[tuple[JointModel, float]],
+    d: int,
+    method: str = "auto",
+    samples: int = 1_000_000,
+    seed: Optional[int] = None,
+) -> list[CountTestPlan]:
+    """``make_count_plan`` for each ``(model, tau_count)`` member at feature
+    count d, in order.  The Monte-Carlo members share one pass over the
+    normal draws (see ``_monte_carlo_pd``), so together they cost about
+    the draws of one plan; each plan equals ``make_count_plan`` on its
+    member alone."""
+    methods = [
+        _check_count_plan(model, d, tau, method, samples, seed)
+        for model, tau in members
+    ]
+    shared = [
+        (model, float(tau))
+        for (model, tau), method_used in zip(members, methods)
+        if method_used == "monte-carlo"
+    ]
+    estimates = iter(_monte_carlo_pd(shared, d, samples, seed) if shared else ())
+    plans = []
+    for (model, tau), method_used in zip(members, methods):
+        if method_used == "exact-convolution":
+            plans.append(
+                CountTestPlan(
+                    tau_count=float(tau),
+                    pd=_exact_pd(model, d, tau),
+                    pd_method=method_used,
+                )
+            )
+        else:
+            pd, stderr = next(estimates)
+            plans.append(
+                CountTestPlan(
+                    tau_count=float(tau),
+                    pd=pd,
+                    pd_method=method_used,
+                    pd_stderr=stderr,
+                    samples=samples,
+                    seed=seed,
+                )
+            )
+    return plans
 
 
 def make_count_plan(
@@ -306,41 +563,7 @@ def make_count_plan(
     family has no finite atom law and must use the seeded Monte-Carlo
     estimator ("monte-carlo").
     """
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
-    _require_usable(model, "make_count_plan")
-    if method == "auto":
-        method = "monte-carlo" if isinstance(model, GaussianModel) else "exact-convolution"
-    if method == "exact-convolution":
-        if isinstance(model, GaussianModel):
-            raise ValidationError(
-                "exact-convolution is unsupported for gaussian models; the LLR "
-                "has no finite atom law (use method='monte-carlo')"
-            )
-        pd = _exact_pd(model, d, tau_count)
-        return CountTestPlan(
-            tau_count=float(tau_count), pd=pd, pd_method="exact-convolution"
-        )
-    if method == "monte-carlo":
-        if not isinstance(model, GaussianModel):
-            raise ValidationError(
-                "monte-carlo pd estimation is wired for gaussian models; "
-                "discrete models have an exact method"
-            )
-        if seed is None:
-            raise ValidationError("monte-carlo pd estimation requires a seed")
-        if samples < 1:
-            raise ValidationError(f"samples must be >= 1, got {samples}")
-        pd, stderr = _monte_carlo_pd(model, d, float(tau_count), samples, seed)
-        return CountTestPlan(
-            tau_count=float(tau_count),
-            pd=pd,
-            pd_method="monte-carlo",
-            pd_stderr=stderr,
-            samples=samples,
-            seed=seed,
-        )
-    raise ValidationError(f"unknown pd method {method!r}")
+    return make_count_plans([(model, tau_count)], d, method, samples, seed)[0]
 
 
 def count_threshold(n: int, plan: CountTestPlan) -> float:
@@ -354,36 +577,17 @@ def count_threshold(n: int, plan: CountTestPlan) -> float:
     return 0.5 * n * plan.pd
 
 
-def count_statistic(
-    model: JointModel,
-    pair: DatabasePair,
-    tau_count: float,
-    cache: Optional[PairCache] = None,
-) -> int:
-    """The number of row pairs whose per-feature mean LLR reaches
-    tau_count.  It needs no pd, so the risk harness records it while the
-    count plan is still being estimated."""
-    c = _llr(model, pair, cache)
-    return int((c / pair.d >= tau_count).sum())
-
-
 def count_test(
     model: JointModel,
     pair: DatabasePair,
     plan: CountTestPlan,
     cache: Optional[PairCache] = None,
 ) -> Verdict:
-    """Count test: the number of row pairs whose per-feature mean LLR reaches
-    tau_count, thresholded against n * pd / 2."""
+    """Count test (see :class:`PreparedCount`) on one pair with a
+    precomputed plan."""
     _require_usable(model, "count_test")
-    threshold = count_threshold(pair.n, plan)
-    count = count_statistic(model, pair, plan.tau_count, cache)
-    return Verdict(
-        decision=int(count >= threshold),
-        statistic=float(count),
-        threshold=threshold,
-        detector="count",
-        aux={"count": count, "pd": plan.pd, "tau_count": plan.tau_count},
+    return PreparedCount(model, pair.n, pair.d, plan.tau_count, lambda: plan).verdict(
+        pair, cache
     )
 
 
@@ -435,27 +639,12 @@ def _log_permanent_ratio(c: np.ndarray) -> float:
 def np_oracle(
     model: JointModel, pair: DatabasePair, cache: Optional[PairCache] = None
 ) -> Verdict:
-    """Exact mixture-likelihood test: average the row-matching likelihood
-    ratio over all n! permutations, perm(exp C) / n! for the all-pairs LLR
-    matrix C, and threshold at 1 (ties decide "dependent").
+    """Exact mixture-likelihood test (see :class:`PreparedNpOracle`) on one
+    pair.
 
     This is the average-risk-optimal decision rule.  The permanent comes from
     a subset DP over column sets (O(2^n n), see ``_log_permanent_ratio``), so
     the oracle supports n <= ``NP_ORACLE_MAX_N`` and serves as the
     optimality yardstick for the other detectors.
     """
-    _require_usable(model, "np_oracle")
-    n = pair.n
-    if n > NP_ORACLE_MAX_N:
-        raise CapacityError(
-            f"np_oracle's subset DP over 2^n column sets supports n <= "
-            f"{NP_ORACLE_MAX_N}, got n={n}"
-        )
-    log_stat = _log_permanent_ratio(_llr(model, pair, cache))
-    return Verdict(
-        decision=int(log_stat >= 0.0),
-        statistic=float(math.exp(log_stat)) if log_stat < 700 else math.inf,
-        threshold=1.0,
-        detector="np-oracle",
-        aux={"log_statistic": log_stat},
-    )
+    return PreparedNpOracle(model, pair.n, pair.d).verdict(pair, cache)

@@ -16,6 +16,7 @@ import functools
 import glob
 import itertools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -26,17 +27,31 @@ import numpy as np
 
 from . import rng as rngmod
 from . import spectral
-from .detectors import (
+# glrt, sum_test, count_test and np_oracle are not called here; they stay
+# importable from this module, where perfbench/tracer.py rebinds them
+from .detectors import (  # noqa: F401
+    CountTestPlan,
     PairCache,
-    count_statistic,
+    PreparedCount,
+    PreparedDetector,
+    PreparedGlrt,
+    PreparedNpOracle,
+    PreparedSum,
     count_test,
-    count_threshold,
     glrt,
     make_count_plan,
+    make_count_plans,
     np_oracle,
+    require_number,
+    resolve_pd_method,
     sum_test,
 )
-from .errors import CapacityError, DegenerateModelError, ValidationError
+from .errors import (
+    CapacityError,
+    DegenerateModelError,
+    DetectionError,
+    ValidationError,
+)
 from .exponents import chernoff_exponent, kl_divergences, var_q_centered_kernel
 from .models import (
     BernoulliModel,
@@ -97,6 +112,10 @@ class TrialPlan:
                 raise ValidationError(
                     f"unknown detector {name!r}; choose from {DETECTOR_NAMES}"
                 )
+        for name in ("tau_glrt", "tau_sum", "tau_count"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Real):
+                require_number(value, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,50 +157,99 @@ def _resolve_tau_count(model: JointModel, tau_count) -> float:
         raise ValidationError(
             "the count detector needs tau_count (a number or 'half-kl')"
         )
-    return float(tau_count)
+    try:
+        value = float(tau_count)
+    except ValueError:
+        raise ValidationError(
+            f"tau_count must be a number or 'half-kl', got {tau_count!r}"
+        ) from None
+    return require_number(value, "tau_count")
 
 
-def _verdict_fn(model: JointModel, plan: TrialPlan, name: str, count_plan=None):
-    """The (pair, cache) -> Verdict callable of one detector name.  The
-    detectors are looked up as this module's globals at call time."""
-    if name == "glrt":
-        return lambda pair, cache: glrt(model, pair, tau=plan.tau_glrt, cache=cache)
-    if name == "sum":
-        return lambda pair, cache: sum_test(model, pair, tau=plan.tau_sum)
-    if name == "count":
-        return lambda pair, cache: count_test(model, pair, count_plan, cache=cache)
-    return lambda pair, cache: np_oracle(model, pair, cache=cache)
+# The detectors other than count, bound from a plan's thresholds
+_PREPARE = {
+    "glrt": lambda model, n, d, plan: PreparedGlrt(model, n, d, plan.tau_glrt),
+    "sum": lambda model, n, d, plan: PreparedSum(model, n, d, plan.tau_sum),
+    "np-oracle": lambda model, n, d, plan: PreparedNpOracle(model, n, d),
+}
 
 
-def _make_count_plan(model: JointModel, d: int, plan: TrialPlan, tau_count: float):
-    return make_count_plan(
-        model,
-        d,
-        tau_count,
-        method=plan.pd_method,
-        samples=plan.pd_samples,
-        seed=plan.seed,
-    )
+def prepare(
+    model: JointModel,
+    n: int,
+    d: int,
+    plan: TrialPlan,
+    count_plan: Optional[Callable[[], CountTestPlan]] = None,
+) -> list[PreparedDetector]:
+    """``plan.detectors`` bound to ``model`` and n x d databases, in plan
+    order; a name given twice shares one detector.  This is the one
+    name-to-detector dispatch of the package: the ``detect`` subcommand and
+    the risk harness both use it.
 
-
-def bind_detectors(
-    model: JointModel, d: int, plan: TrialPlan
-) -> list[tuple[str, Callable]]:
-    """Bind each of ``plan.detectors`` to a ``(pair, cache) -> Verdict``
-    callable, in order, resolving thresholds and the count plan once for
-    dimension ``d``.  Passing one ``PairCache`` per pair to every callable
-    computes the pair's LLR matrix once.
-
-    This is the name-to-detector dispatch of the ``detect`` subcommand; the
-    risk harness uses the same callables, except that it records the count
-    statistic and decides once its concurrently estimated plan is in."""
-    count_plan = None
+    ``count_plan`` returns the count test's :class:`CountTestPlan` when its
+    threshold is first settled; by default it is ``make_count_plan`` for
+    ``model`` and d.  If another detector cannot be bound, the count
+    threshold is settled first, so its errors come before the others'.
+    """
+    prepared: dict[str, PreparedDetector] = {}
     if "count" in plan.detectors:
         tau_count = _resolve_tau_count(model, plan.tau_count)
-        count_plan = _make_count_plan(model, d, plan, tau_count)
-    return [
-        (name, _verdict_fn(model, plan, name, count_plan)) for name in plan.detectors
-    ]
+        if count_plan is None:
+
+            def count_plan():
+                return make_count_plan(
+                    model,
+                    d,
+                    tau_count,
+                    method=plan.pd_method,
+                    samples=plan.pd_samples,
+                    seed=plan.seed,
+                )
+
+        prepared["count"] = PreparedCount(model, n, d, tau_count, count_plan)
+    try:
+        for name in plan.detectors:
+            if name not in prepared:
+                prepared[name] = _PREPARE[name](model, n, d, plan)
+    except DetectionError:
+        if "count" in prepared:
+            prepared["count"].settle()
+        raise
+    return [prepared[name] for name in plan.detectors]
+
+
+class _CountPlans:
+    """The count-test plans of one sweep, one per model and d, each computed
+    once and reused at every n.
+
+    A Monte-Carlo plan's draws depend only on ``(seed, d, pd_samples)``, and
+    those are the same for every model of a sweep.  So the first point at a
+    d computes the Monte-Carlo plans of all the sweep's models at that d in
+    one pass (``make_count_plans``), and the later points look theirs up.
+    A plan whose pd is 0 is stored like any other; the vacuous threshold
+    is raised at its own point, when that point settles it."""
+
+    def __init__(self, plan: TrialPlan, models: Sequence[JointModel]):
+        self.plan = plan
+        self.models = models
+        self.done: dict[tuple[int, int], CountTestPlan] = {}
+
+    def get(self, index: int, d: int) -> CountTestPlan:
+        if (index, d) not in self.done:
+            plan = self.plan
+            shared = (
+                resolve_pd_method(self.models[index], plan.pd_method) == "monte-carlo"
+            )
+            indices = range(len(self.models)) if shared else (index,)
+            members = [
+                (self.models[i], _resolve_tau_count(self.models[i], plan.tau_count))
+                for i in indices
+            ]
+            plans = make_count_plans(
+                members, d, plan.pd_method, plan.pd_samples, plan.seed
+            )
+            self.done.update(zip(((i, d) for i in indices), plans))
+        return self.done[(index, d)]
 
 
 def thread_count(override: Optional[int] = None) -> int:
@@ -313,6 +381,53 @@ def _one_blas_thread(active: bool):
                 set_threads(_BlasPin.saved)
 
 
+def _point_records(
+    model: JointModel,
+    n: int,
+    d: int,
+    plan: TrialPlan,
+    point_index: int,
+    threads: int,
+    count_plan: Optional[Callable[[], CountTestPlan]] = None,
+) -> tuple[list[PreparedDetector], np.ndarray]:
+    """The prepared detectors of one risk point, thresholds settled, and
+    its decisions ``[hypothesis, detector, trial]``.
+
+    Each trial records every detector's statistic on its two pairs.  A
+    threshold that needs work of its own (the count test's pd plan, a
+    Monte-Carlo estimate for Gaussian models) is settled by the first work
+    units of the same pool as the trials, so it runs while they do, and the
+    decisions ``statistic >= cut`` are taken once all units are in.  A plan
+    that fails, or whose pd makes the threshold vacuous, raises before any
+    trial's error.  The pool has :func:`point_workers` threads, and while it
+    has more than one, OpenBLAS is held to one thread."""
+    detectors = prepare(model, n, d, plan, count_plan)
+    pending = [det for det in dict.fromkeys(detectors) if det.cut is None]
+    k = len(detectors)
+
+    def run_unit(unit):
+        if isinstance(unit, PreparedDetector):
+            return unit.settle()
+        rng0 = rngmod.substream(plan.seed, rngmod.RISK_NULL, point_index, unit)
+        pair0 = sample_null_rng(model, n, d, rng0)
+        rng1 = rngmod.substream(plan.seed, rngmod.RISK_ALT, point_index, unit)
+        pair1 = sample_alt_rng(model, n, d, rng1)
+        pairs = (pair0, pair1)
+        caches = (PairCache(model, pair0), PairCache(model, pair1))
+        record = np.empty((2, k))  # [hypothesis, detector]: the statistic
+        for idx, det in enumerate(detectors):
+            for h in (0, 1):
+                record[h, idx] = det.evaluate(pairs[h], caches[h])
+        return record
+
+    workers = point_workers(plan, n, d, threads)
+    with _one_blas_thread(workers > 1), ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run_unit, pending + list(range(plan.trials))))
+    records = np.stack(results[len(pending) :], axis=-1)
+    cuts = np.array([det.cut for det in detectors])
+    return detectors, records >= cuts[:, None]
+
+
 def _run_point(
     model: JointModel,
     n: int,
@@ -320,85 +435,31 @@ def _run_point(
     plan: TrialPlan,
     point_index: int,
     threads: int,
+    count_plan: Optional[Callable[[], CountTestPlan]] = None,
 ) -> list[RiskEstimate]:
-    """One risk point.  Each trial records, per detector and hypothesis, the
-    decision, or for the count detector the count statistic.  The count
-    plan (a Monte-Carlo pd for Gaussian models) is the first work unit of
-    the same pool as the trials, so it runs while they do; the count
-    decisions ``statistic >= n * pd / 2`` are taken once all units are in.
-    A plan that fails, or whose pd makes the threshold vacuous, raises
-    before any trial's error.  The pool has :func:`point_workers` threads,
-    and while it has more than one, OpenBLAS is held to one thread."""
-    names = plan.detectors
-    tau_count = (
-        _resolve_tau_count(model, plan.tau_count) if "count" in names else None
+    """One risk point: a risk estimate per detector from the decisions of
+    :func:`_point_records`."""
+    detectors, decisions = _point_records(
+        model, n, d, plan, point_index, threads, count_plan
     )
-    # count has no verdict until its plan is in: the trials record its statistic
-    verdict_fns = [
-        None if name == "count" else _verdict_fn(model, plan, name) for name in names
-    ]
     m_trials = plan.trials
-    k = len(names)
-    thresholds = np.zeros(k)
-
-    def run_trial(trial: int) -> np.ndarray:
-        """[hypothesis, detector]: a decision, or the count statistic."""
-        rng0 = rngmod.substream(plan.seed, rngmod.RISK_NULL, point_index, trial)
-        pair0 = sample_null_rng(model, n, d, rng0)
-        rng1 = rngmod.substream(plan.seed, rngmod.RISK_ALT, point_index, trial)
-        pair1 = sample_alt_rng(model, n, d, rng1)
-        pairs = (pair0, pair1)
-        caches = (PairCache(model, pair0), PairCache(model, pair1))
-        record = np.empty((2, k), dtype=np.int64)
-        for idx, evaluate in enumerate(verdict_fns):
-            for h in (0, 1):
-                if evaluate is None:
-                    record[h, idx] = count_statistic(
-                        model, pairs[h], tau_count, cache=caches[h]
-                    )
-                    continue
-                verdict = evaluate(pairs[h], caches[h])
-                record[h, idx] = verdict.decision
-                if trial == 0 and h == 0:
-                    thresholds[idx] = verdict.threshold
-        return record
-
-    def run_unit(unit: Optional[int]):
-        if unit is None:  # the count plan
-            return count_threshold(n, _make_count_plan(model, d, plan, tau_count))
-        return run_trial(unit)
-
-    units: list[Optional[int]] = list(range(m_trials))
-    if tau_count is not None:
-        units.insert(0, None)
-    workers = point_workers(plan, n, d, threads)
-    with _one_blas_thread(workers > 1), ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_unit, units))
-    count_at = results.pop(0) if tau_count is not None else None
-    # [hypothesis, detector, trial]
-    records = np.stack(results, axis=-1)
-    for idx, evaluate in enumerate(verdict_fns):
-        if evaluate is None:
-            thresholds[idx] = count_at
-            records[:, idx] = records[:, idx] >= count_at
-
     out = []
-    for idx, name in enumerate(names):
-        fpr = float(records[0, idx].mean())
-        fnr = float(1.0 - records[1, idx].mean())
+    for idx, det in enumerate(detectors):
+        fpr = float(decisions[0, idx].mean())
+        fnr = float(1.0 - decisions[1, idx].mean())
         stderr = math.sqrt(
             fpr * (1.0 - fpr) / m_trials + fnr * (1.0 - fnr) / m_trials
         )
         out.append(
             RiskEstimate(
-                detector=name,
+                detector=det.name,
                 fpr=fpr,
                 fnr=fnr,
                 risk=fpr + fnr,
                 stderr=stderr,
                 trials=m_trials,
                 seed=plan.seed,
-                threshold=float(thresholds[idx]),
+                threshold=float(det.threshold),
                 model_kind=model_kind(model),
                 param=model_param(model),
                 n=n,
@@ -446,7 +507,10 @@ def sweep(
 
     When ``error_sink`` is a list, a failing grid point appends a
     :class:`PointError` there and the sweep continues; otherwise the first
-    failure propagates.
+    failure propagates.  The models of all parameter values are built
+    first, so a parameter outside the family's range raises before any
+    point runs.  Count-test plans are shared between points (see
+    :class:`_CountPlans`).
     """
     grid = plan.sweep
     if grid is None:
@@ -455,14 +519,25 @@ def sweep(
     d_values = grid.d_values if grid.d_values is not None else (plan.d,)
     n_values = grid.n_values if grid.n_values is not None else (plan.n,)
     workers = thread_count(threads)
+    models = [
+        plan.model if value is None else _model_with_param(plan.model, value)
+        for value in params
+    ]
+    count_plans = _CountPlans(plan, models) if "count" in plan.detectors else None
     out: list[RiskEstimate] = []
     point_index = 0
-    for value in params:
-        model = plan.model if value is None else _model_with_param(plan.model, value)
+    for index, (value, model) in enumerate(zip(params, models)):
         for d in d_values:
+            count_plan = (
+                functools.partial(count_plans.get, index, d) if count_plans else None
+            )
             for n in n_values:
                 try:
-                    out.extend(_run_point(model, n, d, plan, point_index, workers))
+                    out.extend(
+                        _run_point(
+                            model, n, d, plan, point_index, workers, count_plan
+                        )
+                    )
                 except (ValidationError, CapacityError) as exc:
                     if error_sink is None:
                         raise

@@ -403,6 +403,31 @@ class TestExitCodes:
         assert err.startswith("error: ") and "DBDETECT_THREADS" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--tau", "--tau-sum", "--tau-count"])
+    def test_nan_threshold_exits_1(self, model_file, tmp_path, capsys, flag):
+        model_path = model_file(GAUSS_MODEL)
+        pair = sample_alt(load_model(model_path), 6, 4, seed=13)
+        write_matrix_csv(str(tmp_path / "X.csv"), pair.x)
+        write_matrix_csv(str(tmp_path / "Y.csv"), pair.y)
+        args = ["detect", "--model", model_path, "--x", tmp_path / "X.csv",
+                "--y", tmp_path / "Y.csv", "--seed", 1, "--pd-samples", 100]
+        for name in ("glrt", "sum", "count"):
+            args += ["--detector", name]
+        if flag != "--tau-count":
+            args += ["--tau-count", 0.1]
+        assert run_cli(*args, flag, "nan") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be a number, got nan" in err
+
+    @pytest.mark.parametrize("command", ["risk", "sweep"])
+    def test_nan_tau_count_in_a_plan_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "plan.txt"
+        path.write_text(PLAN_TEXT)
+        assert run_cli(command, "--plan", path, "--tau-count", "nan") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tau_count must be a number" in err
+        assert "pd = 0" not in err
+
     @pytest.mark.parametrize(
         "exc", [InvariantViolationError("broken"), DetectionError("broken")]
     )

@@ -8,12 +8,14 @@ import pytest
 from dbdetect import rng as rngmod
 from dbdetect.detectors import (
     NP_ORACLE_MAX_N,
+    CountTestPlan,
     PairCache,
     _log_permanent_ratio,
     _monte_carlo_pd,
     count_test,
     glrt,
     make_count_plan,
+    make_count_plans,
     np_oracle,
     sum_test,
 )
@@ -248,9 +250,24 @@ class TestMonteCarloPdKernel:
         chunk for d >= 100."""
         model = gauss(rho)
         tau = 0.5 * kl_divergences(model).kl_pq
-        assert _monte_carlo_pd(model, d, tau, 100_001, 7) == (
+        assert _monte_carlo_pd([(model, tau)], d, 100_001, 7) == [
             full_chunk_monte_carlo_pd(model, d, tau, 100_001, 7)
-        )
+        ]
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 100, 333])
+    def test_shared_pass_equals_each_member_alone(self, d):
+        """One pass over the draws for five models gives each model's
+        pd and pd_stderr bit for bit, as its own whole-chunk estimate and
+        its own ``make_count_plan`` give them; the members keep their
+        order."""
+        models = [gauss(rho) for rho in (-0.5, 0.05, 0.25, 0.75, 0.95)]
+        members = [(m, 0.5 * kl_divergences(m).kl_pq) for m in models]
+        shared = make_count_plans(members, d, samples=100_001, seed=7)
+        for (model, tau), plan in zip(members, shared):
+            alone = make_count_plan(model, d, tau, samples=100_001, seed=7)
+            expected = full_chunk_monte_carlo_pd(model, d, tau, 100_001, 7)
+            assert (plan.pd, plan.pd_stderr) == (alone.pd, alone.pd_stderr) == expected
+            assert (plan.tau_count, plan.samples, plan.seed) == (tau, 100_001, 7)
 
 
 class TestCountTest:
@@ -319,6 +336,19 @@ class TestCountTest:
         freq = false_alarms / trials
         assert freq <= min(1.0, bound) + 3 * math.sqrt(max(freq, 1e-3) / trials)
 
+    def test_statistic_counts_row_pairs_by_brute_force(self):
+        model = gauss(0.7)
+        n, d, tau = 7, 3, 0.05
+        pair = sample_null(model, n, d, seed=9)
+        plan = make_count_plan(model, d, tau, samples=2000, seed=1)
+        expected = sum(
+            pair_llr(model, pair.x[i], pair.y[j]) / d >= tau
+            for i in range(n)
+            for j in range(n)
+        )
+        assert 0 < expected < n * n
+        assert count_test(model, pair, plan).statistic == expected
+
     def test_shared_cache_gives_same_verdicts(self):
         model = make_bernoulli(0.6, 0.3)
         plan = make_count_plan(model, d=12, tau_count=0.05)
@@ -341,6 +371,25 @@ class TestCountTest:
         assert verdict.aux["pd"] == plan.pd
         assert verdict.aux["tau_count"] == 0.0
         assert 0 <= verdict.aux["count"] <= 9
+
+
+class TestNanThresholds:
+    """A NaN threshold would make every comparison false; it is rejected."""
+
+    def test_public_detectors_reject_nan(self):
+        model = gauss(0.5)
+        pair = sample_null(model, 6, 4, seed=3)
+        with pytest.raises(ValidationError, match="tau must be a number"):
+            glrt(model, pair, tau=math.nan)
+        with pytest.raises(ValidationError, match="tau must be a number"):
+            sum_test(model, pair, tau=math.nan)
+        with pytest.raises(ValidationError, match="tau_count must be a number"):
+            make_count_plan(model, 4, math.nan, samples=100, seed=1)
+        with pytest.raises(ValidationError, match="tau_count must be a number"):
+            make_count_plan(diag_model(), 4, math.nan)
+        plan = CountTestPlan(tau_count=math.nan, pd=0.5, pd_method="exact-convolution")
+        with pytest.raises(ValidationError, match="tau_count must be a number"):
+            count_test(model, pair, plan)
 
 
 class TestNPOracle:

@@ -11,7 +11,7 @@ import pytest
 
 from dbdetect import detectors, experiments
 from dbdetect import rng as rngmod
-from dbdetect.errors import CapacityError, ValidationError
+from dbdetect.errors import CapacityError, DegenerateModelError, ValidationError
 from dbdetect.experiments import (
     SweepGrid,
     TrialPlan,
@@ -246,6 +246,176 @@ class TestDeferredCountDecisions:
         assert est.fnr == float(1.0 - np.mean(decisions[1]))
 
 
+def per_point_sweep(plan, threads):
+    """A Gaussian rho sweep run point by point, each point estimating its
+    own count plan: the rows and the ``(param, n, d, message)`` of each
+    failed point."""
+    grid = plan.sweep
+    rows, errors = [], []
+    index = 0
+    for rho in grid.param_values:
+        for d in grid.d_values or (plan.d,):
+            for n in grid.n_values or (plan.n,):
+                try:
+                    rows += experiments._run_point(gauss(rho), n, d, plan, index, threads)
+                except ValidationError as exc:
+                    errors.append((rho, n, d, str(exc)))
+                index += 1
+    return rows, errors
+
+
+def counting_pd_passes(monkeypatch):
+    """Log ``(members, d)`` of every pass of the Monte-Carlo pd kernel."""
+    calls = []
+    original = detectors._monte_carlo_pd
+
+    def counting(members, d, samples, seed):
+        calls.append((len(members), d))
+        return original(members, d, samples, seed)
+
+    monkeypatch.setattr(detectors, "_monte_carlo_pd", counting)
+    return calls
+
+
+class TestSharedCountPlans:
+    """A sweep draws the Monte-Carlo count plans of all its models at one d
+    in one pass and reuses them at every n; the rows and the failed points
+    are those of running each point on its own."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_pass_per_d_for_every_model_and_n(self, monkeypatch, threads):
+        plan = TrialPlan(
+            model=gauss(0.5), n=10, d=4, trials=6, seed=3,
+            detectors=("sum", "count"), tau_count="half-kl", pd_samples=3000,
+            sweep=SweepGrid(param_values=(0.3, 0.6, 0.9), n_values=(5, 10, 20),
+                            d_values=(4, 8)),
+        )
+        calls = counting_pd_passes(monkeypatch)
+        rows = sweep(plan, threads=threads)
+        assert calls == [(3, 4), (3, 8)]
+        expected, errors = per_point_sweep(plan, threads)
+        assert errors == []
+        assert estimates_to_csv(rows) == estimates_to_csv(expected)
+        assert len(calls) == 2 + 18  # the per-point run: one pass a point
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("params", [(0.3, 0.9), (0.9, 0.3)])
+    def test_vacuous_member_fails_at_its_own_points(self, params, threads):
+        """At tau_count = 0.8 and d = 4 no draw reaches the level for
+        rho = 0.3 (pd = 0) while rho = 0.9 has pd > 0: only rho = 0.3's
+        points fail, whether the shared pass ran at one of them or not."""
+        plan = TrialPlan(
+            model=gauss(0.5), n=6, d=4, trials=5, seed=5,
+            detectors=("sum", "count"), tau_count=0.8, pd_samples=2000,
+            sweep=SweepGrid(param_values=params, n_values=(5, 6)),
+        )
+        errors = []
+        rows = sweep(plan, threads=threads, error_sink=errors)
+        expected_rows, expected_errors = per_point_sweep(plan, threads)
+        assert [(e.param, e.n, e.d, e.message) for e in errors] == expected_errors
+        assert expected_errors == [(0.3, 5, 4, VACUOUS), (0.3, 6, 4, VACUOUS)]
+        assert estimates_to_csv(rows) == estimates_to_csv(expected_rows)
+        assert {r.param for r in rows} == {0.9}
+        with pytest.raises(ValidationError, match=re.escape(VACUOUS)):
+            sweep(plan, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_vacuous_count_raises_before_the_other_detectors(self, threads):
+        """An independent model's sum test cannot be bound, and its count
+        threshold at tau_count = 0.5 is vacuous.  The count plan comes first
+        in a point, so the point raises the count error, not the sum's."""
+        plan = small_plan(
+            model=independent_model(), n=5, d=3, trials=4,
+            detectors=("sum", "count"), tau_count=0.5,
+        )
+        with pytest.raises(ValidationError, match=re.escape(VACUOUS)):
+            estimate_risk(plan, threads=threads)
+        with pytest.raises(DegenerateModelError):
+            estimate_risk(small_plan(model=independent_model(), n=5, d=3),
+                          threads=threads)
+
+
+def public_decisions(plan, threads):
+    """The harness's thresholds and decisions ``[hypothesis, detector,
+    trial]`` at point 0 of ``plan``, and the same from the public detectors
+    on the pairs drawn from the same substreams."""
+    model, n, d = plan.model, plan.n, plan.d
+    prepared, decisions = experiments._point_records(model, n, d, plan, 0, threads)
+    count_plan = None
+    if "count" in plan.detectors:
+        tau = experiments._resolve_tau_count(model, plan.tau_count)
+        count_plan = detectors.make_count_plan(
+            model, d, tau, samples=plan.pd_samples, seed=plan.seed
+        )
+    public = {
+        "glrt": lambda pair: detectors.glrt(model, pair, tau=plan.tau_glrt),
+        "sum": lambda pair: detectors.sum_test(model, pair, tau=plan.tau_sum),
+        "count": lambda pair: detectors.count_test(model, pair, count_plan),
+        "np-oracle": lambda pair: detectors.np_oracle(model, pair),
+    }
+    samplers = [(rngmod.RISK_NULL, sample_null_rng), (rngmod.RISK_ALT, sample_alt_rng)]
+    expected = np.zeros(decisions.shape, dtype=bool)
+    thresholds = {}
+    for trial in range(plan.trials):
+        for h, (purpose, sample) in enumerate(samplers):
+            pair = sample(model, n, d, rngmod.substream(plan.seed, purpose, 0, trial))
+            for idx, name in enumerate(plan.detectors):
+                verdict = public[name](pair)
+                expected[h, idx, trial] = verdict.decision
+                thresholds[name] = verdict.threshold
+    return (
+        [det.threshold for det in prepared],
+        decisions,
+        [thresholds[name] for name in plan.detectors],
+        expected,
+    )
+
+
+class TestRecordsContract:
+    """Every per-trial decision of the harness equals the public detector's
+    decision on the same pair, not only the risk rows."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            TrialPlan(
+                model=gauss(0.3), n=60, d=100, trials=12, seed=21,
+                detectors=("sum", "count"), tau_count="half-kl", pd_samples=3000,
+            ),
+            TrialPlan(
+                model=make_bernoulli(0.6, 0.3), n=20, d=30, trials=12, seed=22,
+                detectors=("glrt", "count"), tau_count="half-kl",
+            ),
+            TrialPlan(
+                model=make_bernoulli(0.7, 0.4), n=7, d=6, trials=12, seed=23,
+                detectors=("np-oracle", "glrt"),
+            ),
+        ],
+        ids=["gaussian-sum-count", "bernoulli-glrt-count", "np-oracle-glrt"],
+    )
+    def test_decisions_equal_the_public_detectors(self, plan, threads):
+        got_thresholds, got, thresholds, expected = public_decisions(plan, threads)
+        assert got.shape == (2, len(plan.detectors), plan.trials)
+        assert got_thresholds == thresholds
+        assert np.array_equal(got, expected)
+        # both hypotheses and both outcomes occur, so the check has teeth
+        assert got.any() and not got.all()
+
+
+class TestNanThresholds:
+    @pytest.mark.parametrize("field", ["tau_glrt", "tau_sum", "tau_count"])
+    def test_plan_rejects_nan(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be a number"):
+            small_plan(**{field: math.nan})
+
+    def test_resolve_rejects_nan(self):
+        with pytest.raises(ValidationError, match="tau_count must be a number"):
+            experiments._resolve_tau_count(gauss(0.5), math.nan)
+        with pytest.raises(ValidationError, match="tau_count must be a number"):
+            experiments._resolve_tau_count(gauss(0.5), "halfkl")
+
+
 class TestWorkers:
     """A point runs on one worker where its trials hold the interpreter lock,
     and on up to ``threads`` workers otherwise; OpenBLAS is held to one
@@ -290,7 +460,7 @@ class TestWorkers:
 @pytest.fixture
 def blas_threads(monkeypatch):
     """The OpenBLAS thread count getter, with the count set to 2 so that a pin
-    to 1 shows; every call to it from inside sum_test is logged."""
+    to 1 shows; its value at every trial's null-pair draw is logged."""
     functions = experiments._openblas_thread_functions()
     if functions is None:
         pytest.skip("numpy's BLAS exposes no OpenBLAS thread count")
@@ -298,13 +468,13 @@ def blas_threads(monkeypatch):
     before = get_threads()
     set_threads(2)
     seen = []
-    original = experiments.sum_test
+    original = experiments.sample_null_rng
 
     def observing(*args, **kwargs):
         seen.append(get_threads())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "sum_test", observing)
+    monkeypatch.setattr(experiments, "sample_null_rng", observing)
     yield get_threads, seen
     set_threads(before)
 
