@@ -28,9 +28,7 @@ from .models import (
     sample_null,
 )
 from .spectral import (
-    CycleType,
     SpectralProfile,
-    cycle_types,
     eigenvalues,
     gaussian_profile,
     kernel_matrix,

@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Subcommands: validate, sample, detect, risk, sweep, bounds, chernoff,
-tv-oracle.  Exit codes: 0 success, 1 any package error other than a capacity
-guard (bad input, or a broken internal invariant), 2 capacity error; see
-``dbdetect.errors``.
+tv-oracle.  Exit codes: 0 success, 1 a usage error or any package error
+other than a capacity guard (bad input, or a broken internal invariant), 2
+capacity error; see ``dbdetect.errors``.
 All stochastic subcommands are deterministic in --seed, and their outputs do
 not depend on the thread count (DBDETECT_THREADS overrides the default of
 the available parallelism).
@@ -89,8 +89,6 @@ def cmd_detect(args) -> int:
     x = cfg.matrix_for_model(model, cfg.read_matrix_csv(args.x))
     y = cfg.matrix_for_model(model, cfg.read_matrix_csv(args.y))
     pair = DatabasePair(x=x, y=y)
-    if "count" in args.detector and args.tau_count is None:
-        raise ValidationError("--tau-count is required for the count detector")
     plan = experiments.TrialPlan(
         model=model,
         n=pair.n,
@@ -101,13 +99,13 @@ def cmd_detect(args) -> int:
         tau_glrt=args.tau,
         tau_sum=args.tau_sum,
         tau_count=args.tau_count,
-        pd_method=args.pd_method,
         pd_samples=args.pd_samples,
     )
+    plans = experiments.count_plans(plan, (model,))
     cache = PairCache(model, pair)
     verdicts = [
         detector.verdict(pair, cache)
-        for detector in experiments.prepare(model, pair.n, pair.d, plan)
+        for detector in experiments.prepare(model, pair.n, pair.d, plan, plans)
     ]
     if args.format == "csv":
         lines = ["detector,decision,statistic,threshold"]
@@ -132,7 +130,6 @@ def _plan_from_args(args, need_sweep: bool):
         "tau_glrt": args.tau,
         "tau_sum": args.tau_sum,
         "tau_count": args.tau_count,
-        "pd_method": args.pd_method,
         "pd_samples": args.pd_samples,
     }
     overrides = {k: v for k, v in overrides.items() if v is not None}
@@ -226,52 +223,50 @@ def cmd_tv_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, since 2 is the capacity
+    error's code; ``--help`` still exits 0.  Subcommand parsers are of the
+    same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dbdetect",
         description="Dependence testing between row-shuffled databases: "
         "detectors, spectral bounds, and Monte-Carlo risk estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=False, plan=False, nd=False, seed=False):
-        if model:
-            p.add_argument("--model", required=True, help="model file")
-        if plan:
-            p.add_argument("--plan", required=True, help="plan file")
-            p.add_argument("--n", type=int, help="override the plan's n")
-            p.add_argument("--d", type=int, help="override the plan's d")
-            p.add_argument("--seed", type=int, help="override the plan's seed")
-            p.add_argument("--trials", type=int, help="override the plan's trials")
-            p.add_argument(
-                "--detector",
-                action="append",
-                choices=experiments.DETECTOR_NAMES,
-                help="detector to run (repeatable; overrides the plan)",
-            )
-            p.add_argument("--tau", type=float, help="scan-test threshold")
-            p.add_argument("--tau-sum", type=float, help="sum-test threshold override")
-            p.add_argument(
-                "--tau-count", help="count-test per-pair level (number or 'half-kl')"
-            )
-            p.add_argument(
-                "--pd-method", choices=["auto", "exact-convolution", "monte-carlo"]
-            )
-            p.add_argument("--pd-samples", type=int)
-            p.add_argument(
-                "--threads",
-                type=int,
-                metavar="N",
-                help="at most N worker threads (default: DBDETECT_THREADS or all cores)",
-            )
-            p.add_argument("--format", choices=["csv", "json"], default="csv")
-        if nd:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--d", type=int, required=True)
-        if seed:
-            p.add_argument("--seed", type=int, required=True)
+    def add_plan_options(p):
+        p.add_argument("--plan", required=True, help="plan file")
+        p.add_argument("--n", type=int, help="override the plan's n")
+        p.add_argument("--d", type=int, help="override the plan's d")
+        p.add_argument("--seed", type=int, help="override the plan's seed")
+        p.add_argument("--trials", type=int, help="override the plan's trials")
+        p.add_argument(
+            "--detector",
+            action="append",
+            choices=list(experiments.DETECTORS),
+            help="detector to run (repeatable; overrides the plan)",
+        )
+        p.add_argument("--tau", type=float, help="scan-test threshold")
+        p.add_argument("--tau-sum", type=float, help="sum-test threshold override")
+        p.add_argument(
+            "--tau-count", help="count-test per-pair level (number or 'half-kl')"
+        )
+        p.add_argument("--pd-samples", type=int)
+        p.add_argument(
+            "--threads",
+            type=int,
+            metavar="N",
+            help="at most N worker threads (default: DBDETECT_THREADS or all cores)",
+        )
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
-        return p
 
     p = sub.add_parser("validate", help="check a model file against all invariants")
     p.add_argument("--model", required=True)
@@ -299,15 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--detector",
         action="append",
         required=True,
-        choices=experiments.DETECTOR_NAMES,
+        choices=list(experiments.DETECTORS),
     )
     p.add_argument("--tau", type=float, default=0.0, help="scan-test threshold")
     p.add_argument("--tau-sum", type=float, help="sum-test threshold override")
-    p.add_argument("--tau-count", type=float, help="count-test per-pair level")
     p.add_argument(
-        "--pd-method",
-        choices=["auto", "exact-convolution", "monte-carlo"],
-        default="auto",
+        "--tau-count", help="count-test per-pair level (number or 'half-kl')"
     )
     p.add_argument("--pd-samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, help="seed for monte-carlo pd estimation")
@@ -316,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("risk", help="Monte-Carlo risk estimation from a plan")
-    add_common(p, plan=True)
+    add_plan_options(p)
     p.set_defaults(func=cmd_risk)
 
     p = sub.add_parser("sweep", help="risk estimation over the plan's sweep grid")
-    add_common(p, plan=True)
+    add_plan_options(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="JSON report of the computable bounds")

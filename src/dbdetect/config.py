@@ -4,9 +4,10 @@ One structured-text format serves both model files and plan files: blank
 lines and ``#`` comments are ignored, ``[section]`` headers open a section,
 and ``key = value`` lines fill it (keys before any header land in the
 default section).  The parser keeps the line number of every key so
-validation errors can point at the offending line.  Matrices are CSV,
-row-major, with a two-line header carrying n and d; floats are written with
-17 significant digits so round-trips are exact.
+validation errors can point at the offending line; a key the loader does not
+read is such an error, so a misspelt key is not silently ignored.  Matrices
+are CSV, row-major, with a two-line header carrying n and d; floats are
+written with 17 significant digits so round-trips are exact.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import SweepGrid, TrialPlan
+from .experiments import TAU_COUNT_HALF_KL, SweepGrid, TrialPlan, resolve_tau_count
 from .models import (
     DiscreteJointModel,
     GaussianModel,
@@ -38,9 +39,23 @@ class ConfigSource:
     def __init__(self, path: str, sections: dict):
         self.path = path
         self.sections = sections
+        self.read: set[tuple[str, str]] = set()  # (section, key) looked up
 
     def section(self, name: str) -> dict:
         return self.sections.get(name, {})
+
+    def reject_unread(self) -> None:
+        """Raise for the first key, by line, that no lookup has read."""
+        unread = [
+            (value.line, key, section)
+            for section, values in self.sections.items()
+            for key, value in values.items()
+            if (section, key) not in self.read
+        ]
+        if unread:
+            line, key, section = min(unread)
+            where = f"[{section}]" if section else "top level"
+            raise ValidationError(f"{self.path}:{line}: unknown key {key!r} in {where}")
 
     def error(self, key: str, section: str, message: str) -> ValidationError:
         value = self.section(section).get(key)
@@ -48,35 +63,33 @@ class ConfigSource:
         return ValidationError(f"{location}: {message}")
 
     def get(self, key: str, section: str = "", default=None):
+        self.read.add((section, key))
         value = self.section(section).get(key)
         return value.raw if value is not None else default
 
     def require(self, key: str, section: str = "") -> str:
-        value = self.section(section).get(key)
-        if value is None:
+        raw = self.get(key, section)
+        if raw is None:
             where = f"[{section}]" if section else "top level"
             raise ValidationError(
                 f"{self.path}: missing required key {key!r} in {where}"
             )
-        return value.raw
+        return raw
+
+    def _get_as(self, cast, what: str, key: str, section: str, default):
+        raw = self.get(key, section)
+        if raw is None:
+            return default
+        try:
+            return cast(raw)
+        except ValueError:
+            raise self.error(key, section, f"{key} must be {what}, got {raw!r}")
 
     def get_float(self, key: str, section: str = "", default=None):
-        raw = self.get(key, section)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise self.error(key, section, f"{key} must be a number, got {raw!r}")
+        return self._get_as(float, "a number", key, section, default)
 
     def get_int(self, key: str, section: str = "", default=None):
-        raw = self.get(key, section)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise self.error(key, section, f"{key} must be an integer, got {raw!r}")
+        return self._get_as(int, "an integer", key, section, default)
 
 
 def parse_config(path: str) -> ConfigSource:
@@ -159,10 +172,12 @@ def _model_from_section(source: ConfigSource, section: str) -> JointModel:
 
 def load_model(path: str) -> JointModel:
     """Read a model file; invariant failures are reported with the file and
-    line of the violating key."""
+    line of the violating key, and so is a key the model does not use."""
     source = parse_config(path)
     section = "model" if source.section("model") else ""
-    return _model_from_section(source, section)
+    model = _model_from_section(source, section)
+    source.reject_unread()
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -180,81 +195,65 @@ def _parse_values(raw: str, cast) -> tuple:
 def load_plan(path: str, overrides: Optional[dict] = None) -> TrialPlan:
     """Read a plan file: a [model] section, a [run] section, and an optional
     [sweep] section with value lists.  ``overrides`` (from CLI flags) replace
-    scalar run keys."""
+    scalar run keys; the file's keys are read and checked either way."""
     source = parse_config(path)
     model = _model_from_section(source, "model" if source.section("model") else "")
     run = "run" if source.section("run") else ""
     overrides = overrides or {}
 
-    detectors_raw = overrides.get("detectors") or source.get("detectors", run)
+    def pick(key, getter, default=None):
+        value = getter(key, run, default)
+        return value if overrides.get(key) is None else overrides[key]
+
+    detectors_raw = pick("detectors", source.get)
+    tau_count = pick("tau_count", source.get)
+    n = pick("n", source.get_int)
+    d = pick("d", source.get_int)
+    seed = pick("seed", source.get_int)
+    trials = pick("trials", source.get_int, 2000)
+    tau_glrt = pick("tau_glrt", source.get_float, 0.0)
+    tau_sum = pick("tau_sum", source.get_float)
+    pd_samples = pick("pd_samples", source.get_int, 1_000_000)
+
+    def sweep_values(key, cast):
+        raw = source.get(key, "sweep")
+        return _parse_values(raw, cast) if raw else None
+
+    sweep_grid = None
+    if source.section("sweep"):
+        param = "rho" if isinstance(model, GaussianModel) else "tau"
+        sweep_grid = SweepGrid(
+            param_values=sweep_values(param, float),
+            n_values=sweep_values("n", int),
+            d_values=sweep_values("d", int),
+        )
+    source.reject_unread()
+
     if detectors_raw is None:
         raise ValidationError(f"{path}: missing required key 'detectors' in [run]")
     if isinstance(detectors_raw, str):
         detectors = tuple(detectors_raw.replace(",", " ").split())
     else:
         detectors = tuple(detectors_raw)
-
-    tau_count_raw = overrides.get("tau_count")
-    if tau_count_raw is None:
-        tau_count_raw = source.get("tau_count", run)
-    tau_count: object = None
-    if tau_count_raw is not None:
-        if isinstance(tau_count_raw, str) and not _is_number(tau_count_raw):
-            tau_count = tau_count_raw  # symbolic, e.g. "half-kl"
-        else:
-            tau_count = float(tau_count_raw)
-
-    sweep_grid = None
-    if source.section("sweep"):
-        param_raw = source.get("rho", "sweep") or source.get("tau", "sweep")
-        sweep_grid = SweepGrid(
-            param_values=_parse_values(param_raw, float) if param_raw else None,
-            n_values=(
-                _parse_values(source.get("n", "sweep"), int)
-                if source.get("n", "sweep")
-                else None
-            ),
-            d_values=(
-                _parse_values(source.get("d", "sweep"), int)
-                if source.get("d", "sweep")
-                else None
-            ),
-        )
-
-    def pick(key, getter, default=None):
-        if key in overrides and overrides[key] is not None:
-            return overrides[key]
-        return getter(key, run, default)
-
-    n = pick("n", source.get_int)
-    d = pick("d", source.get_int)
+    if tau_count not in (None, TAU_COUNT_HALF_KL):  # a number: checked here
+        tau_count = resolve_tau_count(model, tau_count)
     if n is None or d is None:
         raise ValidationError(f"{path}: plan needs n and d in [run] (or --n/--d)")
-    seed = pick("seed", source.get_int)
     if seed is None:
         raise ValidationError(f"{path}: plan needs a seed in [run] (or --seed)")
     return TrialPlan(
         model=model,
         n=int(n),
         d=int(d),
-        trials=int(pick("trials", source.get_int, 2000)),
+        trials=int(trials),
         seed=int(seed),
         detectors=detectors,
-        tau_glrt=float(pick("tau_glrt", source.get_float, 0.0)),
-        tau_sum=pick("tau_sum", source.get_float, None),
+        tau_glrt=float(tau_glrt),
+        tau_sum=tau_sum,
         tau_count=tau_count,
-        pd_method=str(pick("pd_method", source.get, "auto")),
-        pd_samples=int(pick("pd_samples", source.get_int, 1_000_000)),
+        pd_samples=int(pd_samples),
         sweep=sweep_grid,
     )
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ _PERMANENT_MIN_EXP = -(2.0**40)
 _PD_BLOCK_ELEMS = 1 << 14
 # composition count guard for the exact d-fold convolution tail
 EXACT_TAIL_MAX_TERMS = 2_000_000
+# symbolic count-test level: half of KL(P||Q), resolved per model
+TAU_COUNT_HALF_KL = "half-kl"
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +363,7 @@ def _exact_pd(model: DiscreteJointModel, d: int, tau_count: float) -> float:
     if math.comb(d + k - 1, k - 1) > EXACT_TAIL_MAX_TERMS:
         raise CapacityError(
             f"exact convolution would enumerate more than "
-            f"{EXACT_TAIL_MAX_TERMS} compositions; use the monte-carlo method"
+            f"{EXACT_TAIL_MAX_TERMS} compositions (d={d}, {k} LLR atoms)"
         )
     values = atoms.values
     log_p = np.log(atoms.p_probs)
@@ -463,107 +465,105 @@ def _monte_carlo_pd(
     return estimates
 
 
-def resolve_pd_method(model: JointModel, method: str = "auto") -> str:
-    """The pd method ``make_count_plan`` uses for ``model``: "auto" is the
-    exact d-fold convolution for discrete models and the seeded Monte-Carlo
-    estimate for the Gaussian family."""
-    if method == "auto":
-        return "monte-carlo" if isinstance(model, GaussianModel) else "exact-convolution"
-    return method
-
-
-def _check_count_plan(
-    model: JointModel, d: int, tau_count: float, method: str, samples: int, seed
-) -> str:
-    """Reject arguments ``make_count_plan`` cannot use; return the method."""
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
-    require_number(tau_count, "tau_count")
-    _require_usable(model, "make_count_plan")
-    method = resolve_pd_method(model, method)
-    if method == "exact-convolution":
-        if isinstance(model, GaussianModel):
-            raise ValidationError(
-                "exact-convolution is unsupported for gaussian models; the LLR "
-                "has no finite atom law (use method='monte-carlo')"
-            )
-    elif method == "monte-carlo":
-        if not isinstance(model, GaussianModel):
-            raise ValidationError(
-                "monte-carlo pd estimation is wired for gaussian models; "
-                "discrete models have an exact method"
-            )
-        if seed is None:
-            raise ValidationError("monte-carlo pd estimation requires a seed")
-        if samples < 1:
-            raise ValidationError(f"samples must be >= 1, got {samples}")
-    else:
-        raise ValidationError(f"unknown pd method {method!r}")
-    return method
-
-
 def make_count_plans(
     members: Sequence[tuple[JointModel, float]],
     d: int,
-    method: str = "auto",
     samples: int = 1_000_000,
     seed: Optional[int] = None,
 ) -> list[CountTestPlan]:
-    """``make_count_plan`` for each ``(model, tau_count)`` member at feature
-    count d, in order.  The Monte-Carlo members share one pass over the
-    normal draws (see ``_monte_carlo_pd``), so together they cost about
-    the draws of one plan; each plan equals ``make_count_plan`` on its
-    member alone."""
-    methods = [
-        _check_count_plan(model, d, tau, method, samples, seed)
-        for model, tau in members
-    ]
-    shared = [
-        (model, float(tau))
-        for (model, tau), method_used in zip(members, methods)
-        if method_used == "monte-carlo"
-    ]
-    estimates = iter(_monte_carlo_pd(shared, d, samples, seed) if shared else ())
+    """The count-test plan of each ``(model, tau_count)`` member at feature
+    count d, in order.  ``pd`` is the exact d-fold convolution tail for a
+    discrete model and the seeded Monte-Carlo estimate for a Gaussian one,
+    which has no finite atom law.  The Gaussian members share one pass over
+    the normal draws (see ``_monte_carlo_pd``), so together they cost about
+    the draws of one plan, and each plan equals the plan of its member
+    alone."""
+    if d < 1:
+        raise ValidationError(f"d must be >= 1, got {d}")
+    for model, tau in members:
+        require_number(tau, "tau_count")
+        _require_usable(model, "make_count_plan")
+    gaussian = [(m, float(tau)) for m, tau in members if isinstance(m, GaussianModel)]
+    if gaussian and seed is None:
+        raise ValidationError("monte-carlo pd estimation requires a seed")
+    if gaussian and samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
+    estimates = iter(_monte_carlo_pd(gaussian, d, samples, seed) if gaussian else ())
     plans = []
-    for (model, tau), method_used in zip(members, methods):
-        if method_used == "exact-convolution":
-            plans.append(
-                CountTestPlan(
-                    tau_count=float(tau),
-                    pd=_exact_pd(model, d, tau),
-                    pd_method=method_used,
-                )
-            )
-        else:
+    for model, tau in members:
+        if isinstance(model, GaussianModel):
             pd, stderr = next(estimates)
             plans.append(
-                CountTestPlan(
-                    tau_count=float(tau),
-                    pd=pd,
-                    pd_method=method_used,
-                    pd_stderr=stderr,
-                    samples=samples,
-                    seed=seed,
-                )
+                CountTestPlan(float(tau), pd, "monte-carlo", stderr, samples, seed)
             )
+        else:
+            pd = _exact_pd(model, d, tau)
+            plans.append(CountTestPlan(float(tau), pd, "exact-convolution"))
     return plans
+
+
+def resolve_tau_count(model: JointModel, tau_count) -> float:
+    """The count test's per-pair level for ``model``: a number, or
+    ``TAU_COUNT_HALF_KL`` for half of KL(P||Q)."""
+    if tau_count == TAU_COUNT_HALF_KL:
+        return 0.5 * kl_divergences(model).kl_pq
+    if tau_count is None:
+        raise ValidationError(
+            "the count detector needs tau_count (a number or 'half-kl')"
+        )
+    try:
+        value = float(tau_count)
+    except ValueError:
+        raise ValidationError(
+            f"tau_count must be a number or 'half-kl', got {tau_count!r}"
+        ) from None
+    return require_number(value, "tau_count")
+
+
+class CountPlans:
+    """The count-test plans of one run (a ``detect`` call, a risk point or a
+    sweep), one per model and d, computed once and reused at every n: the
+    package's one source of count plans.
+
+    A Monte-Carlo plan's draws depend only on ``(seed, d, samples)``, so
+    the first plan asked for at a d is computed with those of all the
+    table's Gaussian models at that d, in one pass (``make_count_plans``).
+    A plan whose pd is 0 is stored like any other; ``count_threshold``
+    rejects it where it is used."""
+
+    def __init__(
+        self, models: Sequence[JointModel], tau_count, samples: int, seed
+    ):
+        self.models = tuple(models)
+        self.tau_count = tau_count  # a number or TAU_COUNT_HALF_KL
+        self.samples = samples
+        self.seed = seed
+        self.done: dict[tuple[JointModel, int], CountTestPlan] = {}
+
+    def get(self, model: JointModel, d: int) -> CountTestPlan:
+        """The plan of ``model``, one of the table's models, at d."""
+        if (model, d) not in self.done:
+            group = [model]
+            if isinstance(model, GaussianModel):
+                group = [m for m in self.models if isinstance(m, GaussianModel)]
+            members = [(m, resolve_tau_count(m, self.tau_count)) for m in group]
+            plans = make_count_plans(members, d, self.samples, self.seed)
+            self.done.update(zip(((m, d) for m in group), plans))
+        return self.done[(model, d)]
 
 
 def make_count_plan(
     model: JointModel,
     d: int,
-    tau_count: float,
-    method: str = "auto",
+    tau_count,
     samples: int = 1_000_000,
     seed: Optional[int] = None,
 ) -> CountTestPlan:
-    """Precompute the count-test plan for feature count d and level tau_count.
-
-    Discrete models default to the exact d-fold convolution; the Gaussian
-    family has no finite atom law and must use the seeded Monte-Carlo
-    estimator ("monte-carlo").
-    """
-    return make_count_plans([(model, tau_count)], d, method, samples, seed)[0]
+    """The count-test plan of ``model`` alone at feature count d and level
+    ``tau_count`` (a number or ``TAU_COUNT_HALF_KL``).  Discrete models get
+    the exact d-fold convolution; the Gaussian family gets the seeded
+    Monte-Carlo estimate, which needs a ``seed``."""
+    return CountPlans((model,), tau_count, samples, seed).get(model, d)
 
 
 def count_threshold(n: int, plan: CountTestPlan) -> float:

@@ -21,16 +21,18 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng as rngmod
 from . import spectral
-# glrt, sum_test, count_test and np_oracle are not called here; they stay
-# importable from this module, where perfbench/tracer.py rebinds them
+# glrt, sum_test, count_test, np_oracle and make_count_plan are not called
+# here; they stay importable from this module, where perfbench/tracer.py
+# rebinds them
 from .detectors import (  # noqa: F401
-    CountTestPlan,
+    TAU_COUNT_HALF_KL,
+    CountPlans,
     PairCache,
     PreparedCount,
     PreparedDetector,
@@ -40,10 +42,9 @@ from .detectors import (  # noqa: F401
     count_test,
     glrt,
     make_count_plan,
-    make_count_plans,
     np_oracle,
     require_number,
-    resolve_pd_method,
+    resolve_tau_count,
     sum_test,
 )
 from .errors import (
@@ -71,10 +72,17 @@ ENUM_FACTORIAL_CAP = 8
 # the subset DP touches all of it, so it is sized like a core's L2 cache
 TV_BLOCK_BYTES = 1 << 22
 
-DETECTOR_NAMES = ("glrt", "sum", "count", "np-oracle")
-
-# symbolic tau_count accepted by plans: half of KL(P||Q), resolved per model
-TAU_COUNT_HALF_KL = "half-kl"
+# The one name-to-detector table: each entry binds its detector to a model,
+# n x d databases, a plan's thresholds and the run's count-plan table
+DETECTORS = {
+    "glrt": lambda model, n, d, plan, plans: PreparedGlrt(model, n, d, plan.tau_glrt),
+    "sum": lambda model, n, d, plan, plans: PreparedSum(model, n, d, plan.tau_sum),
+    "count": lambda model, n, d, plan, plans: PreparedCount(
+        model, n, d, resolve_tau_count(model, plan.tau_count),
+        functools.partial(plans.get, model, d),
+    ),
+    "np-oracle": lambda model, n, d, plan, plans: PreparedNpOracle(model, n, d),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +106,6 @@ class TrialPlan:
     tau_glrt: float = 0.0
     tau_sum: Optional[float] = None
     tau_count: object = None  # float or TAU_COUNT_HALF_KL
-    pd_method: str = "auto"
     pd_samples: int = 1_000_000
     sweep: Optional[SweepGrid] = None
 
@@ -108,9 +115,9 @@ class TrialPlan:
         if not self.detectors:
             raise ValidationError("at least one detector is required")
         for name in self.detectors:
-            if name not in DETECTOR_NAMES:
+            if name not in DETECTORS:
                 raise ValidationError(
-                    f"unknown detector {name!r}; choose from {DETECTOR_NAMES}"
+                    f"unknown detector {name!r}; choose from {tuple(DETECTORS)}"
                 )
         for name in ("tau_glrt", "tau_sum", "tau_count"):
             value = getattr(self, name)
@@ -150,106 +157,33 @@ def model_param(model: JointModel) -> Optional[float]:
     return None
 
 
-def _resolve_tau_count(model: JointModel, tau_count) -> float:
-    if tau_count == TAU_COUNT_HALF_KL:
-        return 0.5 * kl_divergences(model).kl_pq
-    if tau_count is None:
-        raise ValidationError(
-            "the count detector needs tau_count (a number or 'half-kl')"
-        )
-    try:
-        value = float(tau_count)
-    except ValueError:
-        raise ValidationError(
-            f"tau_count must be a number or 'half-kl', got {tau_count!r}"
-        ) from None
-    return require_number(value, "tau_count")
-
-
-# The detectors other than count, bound from a plan's thresholds
-_PREPARE = {
-    "glrt": lambda model, n, d, plan: PreparedGlrt(model, n, d, plan.tau_glrt),
-    "sum": lambda model, n, d, plan: PreparedSum(model, n, d, plan.tau_sum),
-    "np-oracle": lambda model, n, d, plan: PreparedNpOracle(model, n, d),
-}
+def count_plans(plan: TrialPlan, models: Sequence[JointModel]) -> CountPlans:
+    """The count-plan table of a run of ``plan`` over ``models``."""
+    return CountPlans(models, plan.tau_count, plan.pd_samples, plan.seed)
 
 
 def prepare(
-    model: JointModel,
-    n: int,
-    d: int,
-    plan: TrialPlan,
-    count_plan: Optional[Callable[[], CountTestPlan]] = None,
+    model: JointModel, n: int, d: int, plan: TrialPlan, plans: CountPlans
 ) -> list[PreparedDetector]:
     """``plan.detectors`` bound to ``model`` and n x d databases, in plan
-    order; a name given twice shares one detector.  This is the one
-    name-to-detector dispatch of the package: the ``detect`` subcommand and
-    the risk harness both use it.
+    order, from :data:`DETECTORS`; a name given twice shares one detector.
+    The ``detect`` subcommand and the risk harness both bind detectors here.
 
-    ``count_plan`` returns the count test's :class:`CountTestPlan` when its
-    threshold is first settled; by default it is ``make_count_plan`` for
-    ``model`` and d.  If another detector cannot be bound, the count
-    threshold is settled first, so its errors come before the others'.
+    The count test takes its plan from ``plans`` when its threshold is
+    first settled.  It is bound first, and if another detector cannot be
+    bound, its threshold is settled before the error propagates, so the
+    count test's errors come before the others'.
     """
+    names = sorted(dict.fromkeys(plan.detectors), key=lambda name: name != "count")
     prepared: dict[str, PreparedDetector] = {}
-    if "count" in plan.detectors:
-        tau_count = _resolve_tau_count(model, plan.tau_count)
-        if count_plan is None:
-
-            def count_plan():
-                return make_count_plan(
-                    model,
-                    d,
-                    tau_count,
-                    method=plan.pd_method,
-                    samples=plan.pd_samples,
-                    seed=plan.seed,
-                )
-
-        prepared["count"] = PreparedCount(model, n, d, tau_count, count_plan)
     try:
-        for name in plan.detectors:
-            if name not in prepared:
-                prepared[name] = _PREPARE[name](model, n, d, plan)
+        for name in names:
+            prepared[name] = DETECTORS[name](model, n, d, plan, plans)
     except DetectionError:
         if "count" in prepared:
             prepared["count"].settle()
         raise
     return [prepared[name] for name in plan.detectors]
-
-
-class _CountPlans:
-    """The count-test plans of one sweep, one per model and d, each computed
-    once and reused at every n.
-
-    A Monte-Carlo plan's draws depend only on ``(seed, d, pd_samples)``, and
-    those are the same for every model of a sweep.  So the first point at a
-    d computes the Monte-Carlo plans of all the sweep's models at that d in
-    one pass (``make_count_plans``), and the later points look theirs up.
-    A plan whose pd is 0 is stored like any other; the vacuous threshold
-    is raised at its own point, when that point settles it."""
-
-    def __init__(self, plan: TrialPlan, models: Sequence[JointModel]):
-        self.plan = plan
-        self.models = models
-        self.done: dict[tuple[int, int], CountTestPlan] = {}
-
-    def get(self, index: int, d: int) -> CountTestPlan:
-        if (index, d) not in self.done:
-            plan = self.plan
-            shared = (
-                resolve_pd_method(self.models[index], plan.pd_method) == "monte-carlo"
-            )
-            indices = range(len(self.models)) if shared else (index,)
-            members = [
-                (self.models[i], _resolve_tau_count(self.models[i], plan.tau_count))
-                for i in indices
-            ]
-            plans = make_count_plans(
-                members, d, plan.pd_method, plan.pd_samples, plan.seed
-            )
-            self.done.update(zip(((i, d) for i in indices), plans))
-        return self.done[(index, d)]
 
 
 def thread_count(override: Optional[int] = None) -> int:
@@ -388,7 +322,7 @@ def _point_records(
     plan: TrialPlan,
     point_index: int,
     threads: int,
-    count_plan: Optional[Callable[[], CountTestPlan]] = None,
+    plans: CountPlans,
 ) -> tuple[list[PreparedDetector], np.ndarray]:
     """The prepared detectors of one risk point, thresholds settled, and
     its decisions ``[hypothesis, detector, trial]``.
@@ -401,7 +335,7 @@ def _point_records(
     that fails, or whose pd makes the threshold vacuous, raises before any
     trial's error.  The pool has :func:`point_workers` threads, and while it
     has more than one, OpenBLAS is held to one thread."""
-    detectors = prepare(model, n, d, plan, count_plan)
+    detectors = prepare(model, n, d, plan, plans)
     pending = [det for det in dict.fromkeys(detectors) if det.cut is None]
     k = len(detectors)
 
@@ -435,12 +369,12 @@ def _run_point(
     plan: TrialPlan,
     point_index: int,
     threads: int,
-    count_plan: Optional[Callable[[], CountTestPlan]] = None,
+    plans: CountPlans,
 ) -> list[RiskEstimate]:
     """One risk point: a risk estimate per detector from the decisions of
     :func:`_point_records`."""
     detectors, decisions = _point_records(
-        model, n, d, plan, point_index, threads, count_plan
+        model, n, d, plan, point_index, threads, plans
     )
     m_trials = plan.trials
     out = []
@@ -473,7 +407,10 @@ def estimate_risk(plan: TrialPlan, threads: Optional[int] = None) -> list[RiskEs
     """Monte-Carlo risk of each detector: ``trials`` independent null trials
     and ``trials`` independent dependent trials (hidden permutation uniform
     per trial), deterministic in the plan seed."""
-    return _run_point(plan.model, plan.n, plan.d, plan, 0, thread_count(threads))
+    return _run_point(
+        plan.model, plan.n, plan.d, plan, 0, thread_count(threads),
+        count_plans(plan, (plan.model,)),
+    )
 
 
 def _model_with_param(model: JointModel, value: float) -> JointModel:
@@ -509,8 +446,8 @@ def sweep(
     :class:`PointError` there and the sweep continues; otherwise the first
     failure propagates.  The models of all parameter values are built
     first, so a parameter outside the family's range raises before any
-    point runs.  Count-test plans are shared between points (see
-    :class:`_CountPlans`).
+    point runs.  One count-plan table serves every point (see
+    :class:`CountPlans`).
     """
     grid = plan.sweep
     if grid is None:
@@ -523,20 +460,15 @@ def sweep(
         plan.model if value is None else _model_with_param(plan.model, value)
         for value in params
     ]
-    count_plans = _CountPlans(plan, models) if "count" in plan.detectors else None
+    plans = count_plans(plan, models)
     out: list[RiskEstimate] = []
     point_index = 0
-    for index, (value, model) in enumerate(zip(params, models)):
+    for value, model in zip(params, models):
         for d in d_values:
-            count_plan = (
-                functools.partial(count_plans.get, index, d) if count_plans else None
-            )
             for n in n_values:
                 try:
                     out.extend(
-                        _run_point(
-                            model, n, d, plan, point_index, workers, count_plan
-                        )
+                        _run_point(model, n, d, plan, point_index, workers, plans)
                     )
                 except (ValidationError, CapacityError) as exc:
                     if error_sink is None:
@@ -809,7 +741,7 @@ def bound_report(
                 >= math.log(n / math.e) / d + (1.0 + math.log(n)) / (d * n)
             ),
         }
-        tc = _resolve_tau_count(model, tau_count)
+        tc = resolve_tau_count(model, tau_count)
         e_qc = chernoff_exponent(model, tc, side="Q")
         e_pc = chernoff_exponent(model, tc, side="P")
         report["count"] = {

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,10 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .models import DiscreteJointModel, _frozen_array
-
-# Integer partitions of n index the cycle types of S_n; ``cycle_types`` lists
-# them, and p(60) ~ 1e6 keeps that list in memory and under a few seconds.
-PARTITION_CAP = 60
 
 # The second-moment recurrence costs O(n^2): n = 10^4 takes about 0.2 s on a
 # 2-vCPU machine, and the time grows fourfold per doubling of n.
@@ -170,59 +166,8 @@ def strong_lb_fixed_d_threshold(profile: SpectralProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cycle types and the exact second moment
+# The exact second moment
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class CycleType:
-    """One conjugacy class of S_n: counts[k] permutation cycles of length k,
-    and the probability that a uniform permutation has this cycle type,
-    1 / prod_k (k^{N_k} N_k!)."""
-
-    counts: Mapping[int, int]
-    probability: float
-
-    @property
-    def n(self) -> int:
-        return sum(k * v for k, v in self.counts.items())
-
-
-def _iter_partitions(n: int) -> Iterator[dict]:
-    """Yield the integer partitions of n as {part: multiplicity} dicts."""
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield []
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield [part] + rest
-
-    for parts in rec(n, n):
-        counts: dict = {}
-        for part in parts:
-            counts[part] = counts.get(part, 0) + 1
-        yield counts
-
-
-def _cycle_type_probability(counts: Mapping[int, int]) -> float:
-    log_p = 0.0
-    for k, nk in counts.items():
-        log_p -= nk * math.log(k) + math.lgamma(nk + 1)
-    return math.exp(log_p)
-
-
-def cycle_types(n: int) -> list[CycleType]:
-    """All cycle types of S_n with their probabilities (summing to 1)."""
-    if not 1 <= n <= PARTITION_CAP:
-        raise CapacityError(
-            f"cycle-type enumeration supports 1 <= n <= {PARTITION_CAP}, got {n}"
-        )
-    return [
-        CycleType(counts=c, probability=_cycle_type_probability(c))
-        for c in _iter_partitions(n)
-    ]
 
 
 def _power_sums(profile: SpectralProfile, n: int) -> np.ndarray:

@@ -12,12 +12,15 @@ kernel's blocks.
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from dbdetect import rng as rngmod
+from dbdetect.errors import CapacityError
 from dbdetect.models import DiscreteJointModel, GaussianModel, make_bernoulli
-from dbdetect.spectral import SpectralProfile, cycle_types
+from dbdetect.spectral import SpectralProfile
 
 DIAG_JOINT = np.array([[0.4, 0.1], [0.1, 0.4]])
 
@@ -280,6 +283,62 @@ def brute_force_tv(model: DiscreteJointModel, n: int, d: int) -> float:
             p1 /= len(perms)
             total += abs(p0 - p1)
     return 0.5 * total
+
+
+# Integer partitions of n index the cycle types of S_n; ``cycle_types`` lists
+# them, and p(60) ~ 1e6 keeps that list in memory and under a few seconds.
+PARTITION_CAP = 60
+
+
+@dataclass(frozen=True, eq=False)
+class CycleType:
+    """One conjugacy class of S_n: counts[k] permutation cycles of length k,
+    and the probability that a uniform permutation has this cycle type,
+    1 / prod_k (k^{N_k} N_k!)."""
+
+    counts: Mapping[int, int]
+    probability: float
+
+    @property
+    def n(self) -> int:
+        return sum(k * v for k, v in self.counts.items())
+
+
+def _iter_partitions(n: int) -> Iterator[dict]:
+    """Yield the integer partitions of n as {part: multiplicity} dicts."""
+
+    def rec(remaining: int, max_part: int):
+        if remaining == 0:
+            yield []
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            for rest in rec(remaining - part, part):
+                yield [part] + rest
+
+    for parts in rec(n, n):
+        counts: dict = {}
+        for part in parts:
+            counts[part] = counts.get(part, 0) + 1
+        yield counts
+
+
+def _cycle_type_probability(counts: Mapping[int, int]) -> float:
+    log_p = 0.0
+    for k, nk in counts.items():
+        log_p -= nk * math.log(k) + math.lgamma(nk + 1)
+    return math.exp(log_p)
+
+
+def cycle_types(n: int) -> list[CycleType]:
+    """All cycle types of S_n with their probabilities (summing to 1)."""
+    if not 1 <= n <= PARTITION_CAP:
+        raise CapacityError(
+            f"cycle-type enumeration supports 1 <= n <= {PARTITION_CAP}, got {n}"
+        )
+    return [
+        CycleType(counts=c, probability=_cycle_type_probability(c))
+        for c in _iter_partitions(n)
+    ]
 
 
 def partition_sum_second_moment(profile: SpectralProfile, n: int, d: int) -> float:

@@ -1,12 +1,13 @@
 """Command-line interface: formats, round trips, exit codes, determinism."""
 
+import argparse
 import json
 import threading
 
 import numpy as np
 import pytest
 
-from dbdetect.cli import main
+from dbdetect.cli import build_parser, main
 from dbdetect.config import (
     load_model,
     load_plan,
@@ -17,6 +18,7 @@ from dbdetect.config import (
 from dbdetect import experiments
 from dbdetect.detectors import NP_ORACLE_MAX_N, glrt, sum_test
 from dbdetect.errors import DetectionError, InvariantViolationError, ValidationError
+from dbdetect.exponents import kl_divergences
 from dbdetect.models import GaussianModel, sample_alt
 
 GAUSS_MODEL = "kind = gaussian\nrho = 0.6\n"
@@ -62,6 +64,20 @@ class TestModelFiles:
     def test_comments_and_blank_lines(self, model_file):
         path = model_file("# comment\n\nkind = gaussian\nrho = 0.3  # inline\n")
         assert load_model(path).rho == 0.3
+
+    @pytest.mark.parametrize(
+        "text,line,key",
+        [
+            ("kind = gaussian\nrho = 0.3\np = 0.5\n", 3, "p"),
+            ("kind = bernoulli\ntau = 0.5\nrho = 0.5\np = 0.5\n", 3, "rho"),
+            ("kind = gaussian\n[model]\nkind = gaussian\nrho = 0.3\n", 1, "kind"),
+        ],
+    )
+    def test_unknown_key_rejected(self, model_file, text, line, key):
+        path = model_file(text)
+        with pytest.raises(ValidationError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}:{line}: unknown key {key!r}")
 
 
 class TestMatrixCSV:
@@ -223,14 +239,49 @@ class TestCLI:
     def test_help_lists_flags(self, capsys):
         for command, flags in [
             ("risk", ["--plan", "--seed", "--trials", "--detector", "--threads"]),
-            ("detect", ["--model", "--x", "--y", "--tau-count", "--pd-method"]),
+            ("sweep", ["--plan", "--detector", "--tau-count", "--pd-samples"]),
+            ("detect", ["--model", "--x", "--y", "--tau-count", "--pd-samples"]),
             ("bounds", ["--model", "--n", "--d", "--tau"]),
         ]:
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as exit_info:
                 run_cli(command, "--help")
+            assert exit_info.value.code == 0
             text = capsys.readouterr().out
             for flag in flags:
                 assert flag in text
+            assert "--pd-method" not in text  # the pd method follows the model
+
+    def test_detector_choices_are_the_detector_table(self):
+        subcommands = next(
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for command in ("detect", "risk", "sweep"):
+            (choices,) = [
+                action.choices
+                for action in subcommands[command]._actions
+                if action.dest == "detector"
+            ]
+            assert list(choices) == list(experiments.DETECTORS)
+
+    def test_detect_count_level(self, model_file, tmp_path, capsys):
+        """``--tau-count`` takes ``half-kl``, and count without it exits 1."""
+        model_path = model_file(GAUSS_MODEL)
+        model = load_model(model_path)
+        pair = sample_alt(model, 6, 4, seed=13)
+        write_matrix_csv(str(tmp_path / "X.csv"), pair.x)
+        write_matrix_csv(str(tmp_path / "Y.csv"), pair.y)
+        args = ["detect", "--model", model_path, "--x", tmp_path / "X.csv",
+                "--y", tmp_path / "Y.csv", "--detector", "count", "--seed", 1]
+        out = tmp_path / "verdicts.json"
+        assert run_cli(
+            *args, "--tau-count", "half-kl", "--pd-samples", 1000, "--out", out
+        ) == 0
+        (verdict,) = json.loads(out.read_text())
+        assert verdict["aux"]["tau_count"] == 0.5 * kl_divergences(model).kl_pq
+        assert run_cli(*args) == 1
+        assert "needs tau_count" in capsys.readouterr().err
 
 
 PLAN_TEXT = """
@@ -394,6 +445,48 @@ class TestPlans:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "key,line,where",
+        [("tau_sun = 5", 14, "[run]"), ("pd_method = auto", 14, "[run]"),
+         ("[sweeep]\nrho = 0.1", 15, "[sweeep]")],
+    )
+    def test_unknown_plan_key_exits_1(self, tmp_path, capsys, key, line, where):
+        path = tmp_path / "plan.txt"
+        path.write_text(PLAN_TEXT.replace("\n[sweep]", f"{key}\n\n[sweep]"))
+        assert run_cli("risk", "--plan", path, "--trials", 2) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:{line}: unknown key" in err and where in err
+
+    def test_sweep_parameter_key_follows_the_model(self, tmp_path, capsys):
+        """A Bernoulli plan sweeps tau; its [sweep] rho line is not read."""
+        bernoulli = "kind = bernoulli\ntau = 0.6\np = 0.3"
+        path = tmp_path / "plan.txt"
+        path.write_text(PLAN_TEXT.replace("kind = gaussian\nrho = 0.7", bernoulli))
+        assert run_cli("sweep", "--plan", path, "--trials", 2) == 1
+        assert f"{path}:17: unknown key 'rho' in [sweep]" in capsys.readouterr().err
+        path.write_text(path.read_text().replace("rho = 0.4 0.7", "tau = 0.4 0.7"))
+        assert load_plan(str(path)).sweep.param_values == (0.4, 0.7)
+
+    def test_overridden_plan_key_is_not_unknown(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_text(PLAN_TEXT)
+        plan = load_plan(str(path), {"n": 9, "detectors": ["sum"], "tau_count": "0.1"})
+        assert (plan.n, plan.detectors, plan.tau_count) == (9, ("sum",), 0.1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["bounds", "--n", 4, "--d", 2, "--bogus"], ["bounds", "--n", "four"],
+         ["no-such-command"], []],
+    )
+    def test_usage_error_exits_1(self, model_file, capsys, args):
+        if args and args[0] == "bounds":
+            args = [*args, "--model", model_file(GAUSS_MODEL)]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*args)
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "error: " in err
+
     def test_bad_thread_env_exits_1(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "plan.txt"
         path.write_text(PLAN_TEXT)

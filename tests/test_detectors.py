@@ -202,10 +202,6 @@ class TestCountPlan:
         plan = make_count_plan(model, d=d, tau_count=tau)
         assert plan.pd == pytest.approx(total, abs=1e-12)
 
-    def test_exact_method_rejected_for_gaussian(self):
-        with pytest.raises(ValidationError, match="unsupported"):
-            make_count_plan(gauss(0.6), 4, 0.0, method="exact-convolution")
-
     def test_monte_carlo_deterministic(self):
         a = make_count_plan(gauss(0.6), 4, 0.0, samples=20_000, seed=11)
         b = make_count_plan(gauss(0.6), 4, 0.0, samples=20_000, seed=11)

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dbdetect import detectors, experiments
+from dbdetect import cli, detectors, experiments
 from dbdetect import rng as rngmod
 from dbdetect.errors import CapacityError, DegenerateModelError, ValidationError
 from dbdetect.experiments import (
@@ -21,7 +21,8 @@ from dbdetect.experiments import (
     exact_tv_small,
     sweep,
 )
-from dbdetect.models import make_bernoulli, sample_alt_rng, sample_null_rng
+from dbdetect.config import write_matrix_csv
+from dbdetect.models import make_bernoulli, sample_alt, sample_alt_rng, sample_null_rng
 from dbdetect.spectral import (
     MOMENT_MAX_N,
     eigenvalues,
@@ -247,8 +248,8 @@ class TestDeferredCountDecisions:
 
 
 def per_point_sweep(plan, threads):
-    """A Gaussian rho sweep run point by point, each point estimating its
-    own count plan: the rows and the ``(param, n, d, message)`` of each
+    """A Gaussian rho sweep run point by point, each point with a count-plan
+    table of its own: the rows and the ``(param, n, d, message)`` of each
     failed point."""
     grid = plan.sweep
     rows, errors = [], []
@@ -256,8 +257,12 @@ def per_point_sweep(plan, threads):
     for rho in grid.param_values:
         for d in grid.d_values or (plan.d,):
             for n in grid.n_values or (plan.n,):
+                model = gauss(rho)
+                plans = experiments.count_plans(plan, (model,))
                 try:
-                    rows += experiments._run_point(gauss(rho), n, d, plan, index, threads)
+                    rows += experiments._run_point(
+                        model, n, d, plan, index, threads, plans
+                    )
                 except ValidationError as exc:
                     errors.append((rho, n, d, str(exc)))
                 index += 1
@@ -277,10 +282,25 @@ def counting_pd_passes(monkeypatch):
     return calls
 
 
+def counting_table_lookups(monkeypatch):
+    """Log ``(model, d)`` of every plan asked of a count-plan table."""
+    calls = []
+    original = detectors.CountPlans.get
+
+    def counting(self, model, d):
+        calls.append((model, d))
+        return original(self, model, d)
+
+    monkeypatch.setattr(detectors.CountPlans, "get", counting)
+    return calls
+
+
 class TestSharedCountPlans:
-    """A sweep draws the Monte-Carlo count plans of all its models at one d
-    in one pass and reuses them at every n; the rows and the failed points
-    are those of running each point on its own."""
+    """Every count plan comes from a count-plan table.  A sweep draws the
+    Monte-Carlo count plans of all its models at one d in one pass and
+    reuses them at every n; the rows and the failed points are those of
+    running each point on its own.  A risk point and ``detect`` make one
+    pass each."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_pass_per_d_for_every_model_and_n(self, monkeypatch, threads):
@@ -297,6 +317,38 @@ class TestSharedCountPlans:
         assert errors == []
         assert estimates_to_csv(rows) == estimates_to_csv(expected)
         assert len(calls) == 2 + 18  # the per-point run: one pass a point
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_estimate_risk_makes_one_pass_through_the_table(self, monkeypatch, threads):
+        plan = TrialPlan(
+            model=gauss(0.5), n=10, d=4, trials=6, seed=3,
+            detectors=("count", "sum", "count"), tau_count="half-kl",
+            pd_samples=3000,
+        )
+        lookups = counting_table_lookups(monkeypatch)
+        calls = counting_pd_passes(monkeypatch)
+        estimate_risk(plan, threads=threads)
+        assert calls == [(1, 4)]
+        assert lookups == [(plan.model, 4)]
+
+    def test_detect_makes_one_pass_through_the_table(self, monkeypatch, tmp_path):
+        model = gauss(0.5)
+        pair = sample_alt(model, 6, 4, seed=13)
+        paths = {name: str(tmp_path / name) for name in ("model.txt", "X.csv", "Y.csv")}
+        with open(paths["model.txt"], "w", encoding="utf-8") as handle:
+            handle.write("kind = gaussian\nrho = 0.5\n")
+        write_matrix_csv(paths["X.csv"], pair.x)
+        write_matrix_csv(paths["Y.csv"], pair.y)
+        lookups = counting_table_lookups(monkeypatch)
+        calls = counting_pd_passes(monkeypatch)
+        assert cli.main([
+            "detect", "--model", paths["model.txt"], "--x", paths["X.csv"],
+            "--y", paths["Y.csv"], "--detector", "count", "--detector", "sum",
+            "--tau-count", "half-kl", "--seed", "1", "--pd-samples", "500",
+            "--out", str(tmp_path / "verdicts.json"),
+        ]) == 0
+        assert calls == [(1, 4)]
+        assert [d for _, d in lookups] == [4]
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("params", [(0.3, 0.9), (0.9, 0.3)])
@@ -340,10 +392,12 @@ def public_decisions(plan, threads):
     trial]`` at point 0 of ``plan``, and the same from the public detectors
     on the pairs drawn from the same substreams."""
     model, n, d = plan.model, plan.n, plan.d
-    prepared, decisions = experiments._point_records(model, n, d, plan, 0, threads)
+    prepared, decisions = experiments._point_records(
+        model, n, d, plan, 0, threads, experiments.count_plans(plan, (model,))
+    )
     count_plan = None
     if "count" in plan.detectors:
-        tau = experiments._resolve_tau_count(model, plan.tau_count)
+        tau = detectors.resolve_tau_count(model, plan.tau_count)
         count_plan = detectors.make_count_plan(
             model, d, tau, samples=plan.pd_samples, seed=plan.seed
         )
@@ -411,9 +465,9 @@ class TestNanThresholds:
 
     def test_resolve_rejects_nan(self):
         with pytest.raises(ValidationError, match="tau_count must be a number"):
-            experiments._resolve_tau_count(gauss(0.5), math.nan)
+            detectors.resolve_tau_count(gauss(0.5), math.nan)
         with pytest.raises(ValidationError, match="tau_count must be a number"):
-            experiments._resolve_tau_count(gauss(0.5), "halfkl")
+            detectors.resolve_tau_count(gauss(0.5), "halfkl")
 
 
 class TestWorkers:

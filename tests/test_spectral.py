@@ -17,7 +17,6 @@ from dbdetect.models import make_bernoulli
 from dbdetect.spectral import (
     MOMENT_MAX_N,
     SpectralProfile,
-    cycle_types,
     eigenvalues,
     gaussian_profile,
     kernel_matrix,
@@ -32,6 +31,7 @@ from dbdetect.spectral import (
 from helpers import (
     bern55,
     brute_force_second_moment,
+    cycle_types,
     diag_model,
     independent_model,
     partition_sum_second_moment,
