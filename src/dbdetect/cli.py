@@ -5,8 +5,8 @@ tv-oracle.  Exit codes: 0 success, 1 a usage error or any package error
 other than a capacity guard (bad input, or a broken internal invariant), 2
 capacity error; see ``dbdetect.errors``.
 All stochastic subcommands are deterministic in --seed, and their outputs do
-not depend on the thread count (DBDETECT_THREADS overrides the default of
-the available parallelism).
+not depend on the thread count (--threads caps it; the default is the
+available parallelism).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def cmd_detect(args) -> int:
         detectors=tuple(args.detector),
         tau_glrt=args.tau,
         tau_sum=args.tau_sum,
-        tau_count=args.tau_count,
+        tau_count=cfg.tau_count_setting(model, args.tau_count, "--tau-count"),
         pd_samples=args.pd_samples,
     )
     plans = experiments.count_plans(plan, (model,))
@@ -178,7 +178,7 @@ def cmd_bounds(args) -> int:
         args.n,
         args.d,
         tau_glrt=args.tau,
-        tau_count=args.tau_count if args.tau_count is not None else "half-kl",
+        tau_count=cfg.tau_count_setting(model, args.tau_count, "--tau-count"),
     )
     _write_output(_json_dumps(report), args.out)
     return EXIT_OK
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             metavar="N",
-            help="at most N worker threads (default: DBDETECT_THREADS or all cores)",
+            help="at most N worker threads (default: all cores)",
         )
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--tau-count")
+    p.add_argument("--tau-count", default="half-kl")
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)

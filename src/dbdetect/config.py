@@ -57,10 +57,12 @@ class ConfigSource:
             where = f"[{section}]" if section else "top level"
             raise ValidationError(f"{self.path}:{line}: unknown key {key!r} in {where}")
 
-    def error(self, key: str, section: str, message: str) -> ValidationError:
+    def location(self, key: str, section: str) -> str:
         value = self.section(section).get(key)
-        location = f"{self.path}:{value.line}" if value else self.path
-        return ValidationError(f"{location}: {message}")
+        return f"{self.path}:{value.line}" if value else self.path
+
+    def error(self, key: str, section: str, message: str) -> ValidationError:
+        return ValidationError(f"{self.location(key, section)}: {message}")
 
     def get(self, key: str, section: str = "", default=None):
         self.read.add((section, key))
@@ -192,6 +194,18 @@ def _parse_values(raw: str, cast) -> tuple:
         raise ValidationError(f"could not parse list {raw!r}")
 
 
+def tau_count_setting(model: JointModel, raw, where: str):
+    """A count-test level as a plan key or a flag gives it: None,
+    ``half-kl``, or a number, checked; ``where`` (the key's ``path:line``,
+    or the flag) leads the error for anything else."""
+    if raw is None or raw == TAU_COUNT_HALF_KL:
+        return raw
+    try:
+        return resolve_tau_count(model, raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def load_plan(path: str, overrides: Optional[dict] = None) -> TrialPlan:
     """Read a plan file: a [model] section, a [run] section, and an optional
     [sweep] section with value lists.  ``overrides`` (from CLI flags) replace
@@ -206,7 +220,11 @@ def load_plan(path: str, overrides: Optional[dict] = None) -> TrialPlan:
         return value if overrides.get(key) is None else overrides[key]
 
     detectors_raw = pick("detectors", source.get)
-    tau_count = pick("tau_count", source.get)
+    tau_count = tau_count_setting(
+        model, source.get("tau_count", run), source.location("tau_count", run)
+    )
+    if overrides.get("tau_count") is not None:
+        tau_count = tau_count_setting(model, overrides["tau_count"], "--tau-count")
     n = pick("n", source.get_int)
     d = pick("d", source.get_int)
     seed = pick("seed", source.get_int)
@@ -235,8 +253,6 @@ def load_plan(path: str, overrides: Optional[dict] = None) -> TrialPlan:
         detectors = tuple(detectors_raw.replace(",", " ").split())
     else:
         detectors = tuple(detectors_raw)
-    if tau_count not in (None, TAU_COUNT_HALF_KL):  # a number: checked here
-        tau_count = resolve_tau_count(model, tau_count)
     if n is None or d is None:
         raise ValidationError(f"{path}: plan needs n and d in [run] (or --n/--d)")
     if seed is None:

@@ -127,6 +127,7 @@ class PreparedDetector:
     ``None`` until ``settle()`` computes it."""
 
     name: str
+    model: JointModel
     cut: Optional[float]
     threshold: Optional[float]
 
@@ -136,10 +137,26 @@ class PreparedDetector:
     def evaluate(self, pair: DatabasePair, cache: PairCache) -> float:
         raise NotImplementedError
 
+    def measure(self, pair: DatabasePair, cache: PairCache) -> tuple[float, float, dict]:
+        """Check the pair's data, and return the value compared with
+        ``cut``, the statistic the verdict reports, and the verdict's
+        ``aux``."""
+        raise NotImplementedError
+
     def verdict(
         self, pair: DatabasePair, cache: Optional[PairCache] = None
     ) -> Verdict:
-        raise NotImplementedError
+        cut = self.settle()
+        value, statistic, aux = self.measure(
+            pair, cache if cache is not None else PairCache(self.model, pair)
+        )
+        return Verdict(
+            decision=int(value >= cut),
+            statistic=statistic,
+            threshold=self.threshold,
+            detector=self.name,
+            aux=aux,
+        )
 
 
 class PreparedGlrt(PreparedDetector):
@@ -161,15 +178,9 @@ class PreparedGlrt(PreparedDetector):
     def evaluate(self, pair, cache):
         return self._solve(pair, cache)[1]
 
-    def verdict(self, pair, cache=None):
-        sigma, statistic = self._solve(pair, _cache(self.model, pair, cache))
-        return Verdict(
-            decision=int(statistic >= self.cut),
-            statistic=float(statistic),
-            threshold=self.threshold,
-            detector=self.name,
-            aux={"sigma": sigma},
-        )
+    def measure(self, pair, cache):
+        sigma, statistic = self._solve(pair, cache)
+        return statistic, float(statistic), {"sigma": sigma}
 
 
 def _sum_statistic(table, c2, x: np.ndarray, y: np.ndarray) -> float:
@@ -223,7 +234,7 @@ class PreparedSum(PreparedDetector):
     def evaluate(self, pair, cache):
         return _sum_statistic(self._table, self._c2, pair.x, pair.y)
 
-    def verdict(self, pair, cache=None):
+    def measure(self, pair, cache):
         if self._c2 is not None:
             x = pair.x.astype(np.float64)
             y = pair.y.astype(np.float64)
@@ -233,22 +244,19 @@ class PreparedSum(PreparedDetector):
             x = _check_symbols(self.model, pair.x)
             y = _check_symbols(self.model, pair.y)
         statistic = _sum_statistic(self._table, self._c2, x, y)
-        return Verdict(
-            decision=int(statistic >= self.cut),
-            statistic=statistic,
-            threshold=self.threshold,
-            detector=self.name,
-            aux={},
-        )
+        return statistic, statistic, {}
 
 
 class PreparedCount(PreparedDetector):
-    """Count test: the number of row pairs whose per-feature mean LLR
-    reaches tau_count, thresholded against n * pd / 2.
+    """Count test: the number of row pairs whose LLR sum over the d features
+    reaches d * tau_count, thresholded against n * pd / 2.  The level d *
+    tau_count is the one the pd plan counts exceedances of.
 
     The statistic needs no ``pd``, so ``plan_source`` (a callable returning
     the :class:`CountTestPlan`) runs only when ``settle`` is first called:
     the risk harness records count statistics while the plan is estimated.
+    A plan with pd = 0 is rejected there, since every statistic would reach
+    its threshold.
     """
 
     name = "count"
@@ -263,7 +271,7 @@ class PreparedCount(PreparedDetector):
     ):
         self.model = model
         self.n = n
-        self.tau_count = require_number(tau_count, "tau_count")
+        self.level = d * require_number(tau_count, "tau_count")
         self._plan_source = plan_source
         self.plan: Optional[CountTestPlan] = None
         self.threshold = self.cut = None
@@ -271,23 +279,22 @@ class PreparedCount(PreparedDetector):
     def settle(self) -> float:
         if self.cut is None:
             plan = self._plan_source()
-            self.threshold = self.cut = count_threshold(self.n, plan)
+            if plan.pd <= 0.0:
+                raise ValidationError(
+                    "count-test threshold is vacuous: pd = 0 (tau_count above "
+                    "the reachable LLR range)"
+                )
+            self.threshold = self.cut = 0.5 * self.n * plan.pd
             self.plan = plan
         return self.cut
 
     def evaluate(self, pair, cache):
-        return int(np.count_nonzero(cache.llr() / pair.d >= self.tau_count))
+        return int(np.count_nonzero(cache.llr() >= self.level))
 
-    def verdict(self, pair, cache=None):
-        threshold = self.settle()
-        count = self.evaluate(pair, _cache(self.model, pair, cache))
-        return Verdict(
-            decision=int(count >= threshold),
-            statistic=float(count),
-            threshold=threshold,
-            detector=self.name,
-            aux={"count": count, "pd": self.plan.pd, "tau_count": self.plan.tau_count},
-        )
+    def measure(self, pair, cache):
+        count = self.evaluate(pair, cache)
+        aux = {"count": count, "pd": self.plan.pd, "tau_count": self.plan.tau_count}
+        return count, float(count), aux
 
 
 class PreparedNpOracle(PreparedDetector):
@@ -312,19 +319,10 @@ class PreparedNpOracle(PreparedDetector):
     def evaluate(self, pair, cache):
         return _log_permanent_ratio(cache.llr())
 
-    def verdict(self, pair, cache=None):
-        log_stat = self.evaluate(pair, _cache(self.model, pair, cache))
-        return Verdict(
-            decision=int(log_stat >= self.cut),
-            statistic=float(math.exp(log_stat)) if log_stat < 700 else math.inf,
-            threshold=self.threshold,
-            detector=self.name,
-            aux={"log_statistic": log_stat},
-        )
-
-
-def _cache(model: JointModel, pair: DatabasePair, cache: Optional[PairCache]):
-    return cache if cache is not None else PairCache(model, pair)
+    def measure(self, pair, cache):
+        log_stat = self.evaluate(pair, cache)
+        statistic = float(math.exp(log_stat)) if log_stat < 700 else math.inf
+        return log_stat, statistic, {"log_statistic": log_stat}
 
 
 def glrt(
@@ -465,43 +463,6 @@ def _monte_carlo_pd(
     return estimates
 
 
-def make_count_plans(
-    members: Sequence[tuple[JointModel, float]],
-    d: int,
-    samples: int = 1_000_000,
-    seed: Optional[int] = None,
-) -> list[CountTestPlan]:
-    """The count-test plan of each ``(model, tau_count)`` member at feature
-    count d, in order.  ``pd`` is the exact d-fold convolution tail for a
-    discrete model and the seeded Monte-Carlo estimate for a Gaussian one,
-    which has no finite atom law.  The Gaussian members share one pass over
-    the normal draws (see ``_monte_carlo_pd``), so together they cost about
-    the draws of one plan, and each plan equals the plan of its member
-    alone."""
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
-    for model, tau in members:
-        require_number(tau, "tau_count")
-        _require_usable(model, "make_count_plan")
-    gaussian = [(m, float(tau)) for m, tau in members if isinstance(m, GaussianModel)]
-    if gaussian and seed is None:
-        raise ValidationError("monte-carlo pd estimation requires a seed")
-    if gaussian and samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    estimates = iter(_monte_carlo_pd(gaussian, d, samples, seed) if gaussian else ())
-    plans = []
-    for model, tau in members:
-        if isinstance(model, GaussianModel):
-            pd, stderr = next(estimates)
-            plans.append(
-                CountTestPlan(float(tau), pd, "monte-carlo", stderr, samples, seed)
-            )
-        else:
-            pd = _exact_pd(model, d, tau)
-            plans.append(CountTestPlan(float(tau), pd, "exact-convolution"))
-    return plans
-
-
 def resolve_tau_count(model: JointModel, tau_count) -> float:
     """The count test's per-pair level for ``model``: a number, or
     ``TAU_COUNT_HALF_KL`` for half of KL(P||Q)."""
@@ -525,10 +486,13 @@ class CountPlans:
     sweep), one per model and d, computed once and reused at every n: the
     package's one source of count plans.
 
-    A Monte-Carlo plan's draws depend only on ``(seed, d, samples)``, so
-    the first plan asked for at a d is computed with those of all the
-    table's Gaussian models at that d, in one pass (``make_count_plans``).
-    A plan whose pd is 0 is stored like any other; ``count_threshold``
+    ``pd`` is the exact d-fold convolution tail for a discrete model and the
+    seeded Monte-Carlo estimate for a Gaussian one, which has no finite atom
+    law.  A Monte-Carlo plan's draws depend only on ``(seed, d, samples)``,
+    so the first plan asked for at a d is computed with those of all the
+    table's Gaussian models at that d, in one pass (see
+    ``_monte_carlo_pd``), and each equals the plan of its model alone.  A
+    plan whose pd is 0 is stored like any other; ``PreparedCount.settle``
     rejects it where it is used."""
 
     def __init__(
@@ -542,13 +506,27 @@ class CountPlans:
 
     def get(self, model: JointModel, d: int) -> CountTestPlan:
         """The plan of ``model``, one of the table's models, at d."""
-        if (model, d) not in self.done:
-            group = [model]
-            if isinstance(model, GaussianModel):
-                group = [m for m in self.models if isinstance(m, GaussianModel)]
-            members = [(m, resolve_tau_count(m, self.tau_count)) for m in group]
-            plans = make_count_plans(members, d, self.samples, self.seed)
-            self.done.update(zip(((m, d) for m in group), plans))
+        if (model, d) in self.done:
+            return self.done[(model, d)]
+        if d < 1:
+            raise ValidationError(f"d must be >= 1, got {d}")
+        if not isinstance(model, GaussianModel):
+            tau = resolve_tau_count(model, self.tau_count)
+            _require_usable(model, "make_count_plan")
+            plan = CountTestPlan(tau, _exact_pd(model, d, tau), "exact-convolution")
+            self.done[(model, d)] = plan
+            return plan
+        group = [m for m in self.models if isinstance(m, GaussianModel)]
+        members = [(m, resolve_tau_count(m, self.tau_count)) for m in group]
+        if self.seed is None:
+            raise ValidationError("monte-carlo pd estimation requires a seed")
+        if self.samples < 1:
+            raise ValidationError(f"samples must be >= 1, got {self.samples}")
+        estimates = _monte_carlo_pd(members, d, self.samples, self.seed)
+        for (m, tau), (pd, stderr) in zip(members, estimates):
+            self.done[(m, d)] = CountTestPlan(
+                tau, pd, "monte-carlo", stderr, self.samples, self.seed
+            )
         return self.done[(model, d)]
 
 
@@ -564,17 +542,6 @@ def make_count_plan(
     the exact d-fold convolution; the Gaussian family gets the seeded
     Monte-Carlo estimate, which needs a ``seed``."""
     return CountPlans((model,), tau_count, samples, seed).get(model, d)
-
-
-def count_threshold(n: int, plan: CountTestPlan) -> float:
-    """The count test's threshold n * pd / 2; a plan with pd = 0 is
-    rejected, since every statistic would reach it."""
-    if plan.pd <= 0.0:
-        raise ValidationError(
-            "count-test threshold is vacuous: pd = 0 (tau_count above the "
-            "reachable LLR range)"
-        )
-    return 0.5 * n * plan.pd
 
 
 def count_test(

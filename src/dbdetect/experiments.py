@@ -50,7 +50,6 @@ from .detectors import (  # noqa: F401
 from .errors import (
     CapacityError,
     DegenerateModelError,
-    DetectionError,
     ValidationError,
 )
 from .exponents import chernoff_exponent, kl_divergences, var_q_centered_kernel
@@ -168,38 +167,20 @@ def prepare(
     """``plan.detectors`` bound to ``model`` and n x d databases, in plan
     order, from :data:`DETECTORS`; a name given twice shares one detector.
     The ``detect`` subcommand and the risk harness both bind detectors here.
-
     The count test takes its plan from ``plans`` when its threshold is
-    first settled.  It is bound first, and if another detector cannot be
-    bound, its threshold is settled before the error propagates, so the
-    count test's errors come before the others'.
-    """
-    names = sorted(dict.fromkeys(plan.detectors), key=lambda name: name != "count")
-    prepared: dict[str, PreparedDetector] = {}
-    try:
-        for name in names:
-            prepared[name] = DETECTORS[name](model, n, d, plan, plans)
-    except DetectionError:
-        if "count" in prepared:
-            prepared["count"].settle()
-        raise
+    first settled."""
+    prepared = {
+        name: DETECTORS[name](model, n, d, plan, plans)
+        for name in dict.fromkeys(plan.detectors)
+    }
     return [prepared[name] for name in plan.detectors]
 
 
 def thread_count(override: Optional[int] = None) -> int:
-    """The cap on a risk point's worker threads: ``override``, else
-    ``DBDETECT_THREADS``, else the core count.  A point may use fewer; see
-    :func:`point_workers`."""
+    """The cap on a risk point's worker threads: ``override``, else the
+    core count.  A point may use fewer; see :func:`point_workers`."""
     if override is not None:
         return max(1, int(override))
-    env = os.environ.get("DBDETECT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(
-                f"DBDETECT_THREADS must be an integer, got {env!r}"
-            ) from None
     return os.cpu_count() or 1
 
 
@@ -511,25 +492,7 @@ def estimate_to_dict(estimate: RiskEstimate) -> dict:
 def estimates_to_csv(estimates: Sequence[RiskEstimate]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for e in estimates:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    e.model_kind,
-                    e.param,
-                    e.n,
-                    e.d,
-                    e.detector,
-                    e.threshold,
-                    e.fpr,
-                    e.fnr,
-                    e.risk,
-                    e.stderr,
-                    e.trials,
-                    e.seed,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(v) for v in estimate_to_dict(e).values()))
     return "\n".join(lines) + "\n"
 
 
@@ -674,7 +637,6 @@ def bound_report(
     d: int,
     tau_glrt: float = 0.0,
     tau_count=TAU_COUNT_HALF_KL,
-    pd_seed: Optional[int] = None,
 ) -> dict:
     """One record collecting the computable theory quantities at (n, d):
     spectral impossibility statistics, the exact second moment and its risk

@@ -487,14 +487,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "error: " in err
 
-    def test_bad_thread_env_exits_1(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "plan.txt"
-        path.write_text(PLAN_TEXT)
-        monkeypatch.setenv("DBDETECT_THREADS", "abc")
-        assert run_cli("risk", "--plan", path, "--trials", 2) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "DBDETECT_THREADS" in err
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("source", ["plan", "risk", "sweep", "detect", "bounds"])
+    def test_malformed_tau_count_names_its_source(
+        self, model_file, tmp_path, capsys, source
+    ):
+        """A malformed level in a plan is reported at its line, even when a
+        flag overrides it; one given by ``--tau-count`` names the flag."""
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(PLAN_TEXT)
+        model_path = model_file(GAUSS_MODEL)
+        pair = sample_alt(load_model(model_path), 6, 4, seed=13)
+        write_matrix_csv(str(tmp_path / "X.csv"), pair.x)
+        write_matrix_csv(str(tmp_path / "Y.csv"), pair.y)
+        message = "tau_count must be a number or 'half-kl', got 'abc'"
+        if source == "plan":
+            text = PLAN_TEXT.replace("tau_count = half-kl", "tau_count = abc")
+            plan_path.write_text(text)
+            line = text.splitlines().index("tau_count = abc") + 1
+            for extra in ([], ["--tau-count", "0.1"]):
+                assert run_cli("risk", "--plan", plan_path, *extra) == 1
+                err = capsys.readouterr().err
+                assert err == f"error: {plan_path}:{line}: {message}\n"
+            return
+        args = {
+            "risk": ["risk", "--plan", plan_path],
+            "sweep": ["sweep", "--plan", plan_path],
+            "detect": ["detect", "--model", model_path, "--x", tmp_path / "X.csv",
+                       "--y", tmp_path / "Y.csv", "--detector", "count",
+                       "--seed", 1, "--pd-samples", 100],
+            "bounds": ["bounds", "--model", model_path, "--n", 4, "--d", 2],
+        }[source]
+        assert run_cli(*args, "--tau-count", "abc") == 1
+        assert capsys.readouterr().err == f"error: --tau-count: {message}\n"
 
     @pytest.mark.parametrize("flag", ["--tau", "--tau-sum", "--tau-count"])
     def test_nan_threshold_exits_1(self, model_file, tmp_path, capsys, flag):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from dbdetect import detectors
 from dbdetect import rng as rngmod
 from dbdetect.detectors import (
     NP_ORACLE_MAX_N,
+    CountPlans,
     CountTestPlan,
     PairCache,
     _log_permanent_ratio,
@@ -15,7 +17,6 @@ from dbdetect.detectors import (
     count_test,
     glrt,
     make_count_plan,
-    make_count_plans,
     np_oracle,
     sum_test,
 )
@@ -251,15 +252,24 @@ class TestMonteCarloPdKernel:
         ]
 
     @pytest.mark.parametrize("d", [1, 2, 10, 100, 333])
-    def test_shared_pass_equals_each_member_alone(self, d):
+    def test_shared_pass_equals_each_member_alone(self, monkeypatch, d):
         """One pass over the draws for five models gives each model's
         pd and pd_stderr bit for bit, as its own whole-chunk estimate and
-        its own ``make_count_plan`` give them; the members keep their
-        order."""
+        its own ``make_count_plan`` give them."""
         models = [gauss(rho) for rho in (-0.5, 0.05, 0.25, 0.75, 0.95)]
-        members = [(m, 0.5 * kl_divergences(m).kl_pq) for m in models]
-        shared = make_count_plans(members, d, samples=100_001, seed=7)
-        for (model, tau), plan in zip(members, shared):
+        table = CountPlans(models, "half-kl", samples=100_001, seed=7)
+        calls = []
+        original = detectors._monte_carlo_pd
+
+        def counting(members, *args):
+            calls.append([m for m, _ in members])
+            return original(members, *args)
+
+        monkeypatch.setattr(detectors, "_monte_carlo_pd", counting)
+        shared = [table.get(model, d) for model in models]
+        assert calls == [models]
+        for model, plan in zip(models, shared):
+            tau = 0.5 * kl_divergences(model).kl_pq
             alone = make_count_plan(model, d, tau, samples=100_001, seed=7)
             expected = full_chunk_monte_carlo_pd(model, d, tau, 100_001, 7)
             assert (plan.pd, plan.pd_stderr) == (alone.pd, alone.pd_stderr) == expected
@@ -344,6 +354,21 @@ class TestCountTest:
         )
         assert 0 < expected < n * n
         assert count_test(model, pair, plan).statistic == expected
+
+    def test_level_is_compared_as_d_times_tau_count(self):
+        """The statistic counts the row pairs whose LLR sum reaches d *
+        tau_count, the comparison the pd plans count, also where that and
+        C / d >= tau_count round apart: at tau_count = fl(C_ij / d) with
+        fl(d * tau_count) > C_ij, the pair (i, j) is not counted."""
+        model = gauss(0.6)
+        n, d = 6, 7
+        pair = sample_null(model, n, d, seed=5)
+        llr = pair_llr_matrix(model, pair.x, pair.y)
+        tau = next(c / d for c in llr.ravel() if d * (c / d) > c)
+        plan = CountTestPlan(tau_count=tau, pd=0.5, pd_method="exact-convolution")
+        statistic = count_test(model, pair, plan).statistic
+        assert statistic == np.count_nonzero(llr >= d * tau)
+        assert statistic == np.count_nonzero(llr / d >= tau) - 1
 
     def test_shared_cache_gives_same_verdicts(self):
         model = make_bernoulli(0.6, 0.3)

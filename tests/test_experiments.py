@@ -372,19 +372,23 @@ class TestSharedCountPlans:
             sweep(plan, threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_vacuous_count_raises_before_the_other_detectors(self, threads):
-        """An independent model's sum test cannot be bound, and its count
-        threshold at tau_count = 0.5 is vacuous.  The count plan comes first
-        in a point, so the point raises the count error, not the sum's."""
+    @pytest.mark.parametrize("names", [("sum", "count"), ("count", "sum")])
+    def test_unbindable_detector_fails_before_any_count_plan(
+        self, monkeypatch, names, threads
+    ):
+        """Detectors are bound in plan order, before any threshold is
+        settled: an independent model's sum test cannot be bound, so the
+        point raises that error and asks for no count plan, wherever the
+        count test sits in the plan (its threshold at tau_count = 0.5 would
+        be vacuous)."""
+        lookups = counting_table_lookups(monkeypatch)
         plan = small_plan(
-            model=independent_model(), n=5, d=3, trials=4,
-            detectors=("sum", "count"), tau_count=0.5,
+            model=independent_model(), n=5, d=3, trials=4, detectors=names,
+            tau_count=0.5,
         )
-        with pytest.raises(ValidationError, match=re.escape(VACUOUS)):
-            estimate_risk(plan, threads=threads)
         with pytest.raises(DegenerateModelError):
-            estimate_risk(small_plan(model=independent_model(), n=5, d=3),
-                          threads=threads)
+            estimate_risk(plan, threads=threads)
+        assert lookups == []
 
 
 def public_decisions(plan, threads):
