@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import glob
 import itertools
 import math
 import numbers
@@ -234,31 +233,23 @@ _OPENBLAS_SYMBOLS = (
 @functools.cache
 def _openblas_thread_functions():
     """``(get, set)`` of the OpenBLAS thread count numpy's products use, or
-    None when no loaded OpenBLAS exports them.  The library is looked for
-    among the ones this process has mapped, then in ``numpy.libs``."""
-    paths = []
+    None when numpy's BLAS exports no such pair.  The symbols are looked up
+    through numpy's own extension module, so the dynamic linker resolves
+    them in the BLAS that module is linked against, not in another OpenBLAS
+    (scipy's, say) that the process has also loaded."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            for line in fh:
-                fields = line.split(maxsplit=5)
-                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]):
-                    paths.append(fields[5].strip())
-    except OSError:
-        pass
-    numpy_libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    paths += glob.glob(os.path.join(numpy_libs, "*openblas*"))
-    for path in dict.fromkeys(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get_threads = getattr(lib, get_name, None)
-            set_threads = getattr(lib, set_name, None)
-            if get_threads is not None and set_threads is not None:
-                get_threads.restype, get_threads.argtypes = ctypes.c_int, []
-                set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
-                return get_threads, set_threads
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        get_threads = getattr(lib, get_name, None)
+        set_threads = getattr(lib, set_name, None)
+        if get_threads is not None and set_threads is not None:
+            get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+            set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+            return get_threads, set_threads
     return None
 
 
@@ -660,8 +651,7 @@ def bound_report(
     weak = spectral.weak_lb_statistic(profile)
     report["weak_statistic"] = weak
     report["weak_statistic_times_d"] = d * weak
-    tail = spectral.gaussian_tail_bound(profile)
-    report["weak_tail_bound"] = tail if profile.source == "gaussian-truncated" else 0.0
+    report["weak_tail_bound"] = spectral.gaussian_tail_bound(profile)
 
     try:
         report["strong_fixed_d_threshold"] = spectral.strong_lb_fixed_d_threshold(
@@ -685,23 +675,15 @@ def bound_report(
     if div.skl > 0.0:
         report["sum_risk_bound"] = 4.0 * var_q / (d * div.skl**2)
         report["sum_threshold"] = d * n * div.skl
-    else:
-        report["sum_risk_bound"] = None
-        report["sum_threshold"] = None
-        report["sum_note"] = "independent model: skl = 0"
-
-    if div.skl > 0.0:
         e_q = chernoff_exponent(model, tau_glrt, side="Q")
         e_p = chernoff_exponent(model, tau_glrt, side="P")
+        required_e_q = math.log(n / math.e) / d + (1.0 + math.log(n)) / (d * n)
         report["glrt"] = {
             "tau": float(tau_glrt),
             "e_q": e_q.value,
             "e_p": e_p.value,
-            "required_e_q": math.log(n / math.e) / d + (1.0 + math.log(n)) / (d * n),
-            "condition_met": bool(
-                e_q.value
-                >= math.log(n / math.e) / d + (1.0 + math.log(n)) / (d * n)
-            ),
+            "required_e_q": required_e_q,
+            "condition_met": bool(e_q.value >= required_e_q),
         }
         tc = resolve_tau_count(model, tau_count)
         e_qc = chernoff_exponent(model, tc, side="Q")
@@ -712,6 +694,9 @@ def bound_report(
             "e_p": e_pc.value,
         }
     else:
+        report["sum_risk_bound"] = None
+        report["sum_threshold"] = None
+        report["sum_note"] = "independent model: skl = 0"
         report["glrt"] = None
         report["count"] = None
 

@@ -4,21 +4,21 @@ and the centered kernel used by the sum test.
 ``psi_q`` and ``psi_p`` are the cumulant generating functions of the
 single-letter log-likelihood ratio under the independence law and the joint
 law; they satisfy psi_q(0) = psi_q(1) = 0 and psi_p(lam) = psi_q(lam + 1).
-The exponents E_Q, E_P are their Legendre transforms, computed by a bracketed
-golden-section search (the objective lam * theta - psi(lam) is concave).
+The exponents E_Q, E_P are their Legendre transforms, computed by one
+golden-section search on [0, 1] (the objective lam * theta - psi(lam) is
+concave) and shared by the two sides through E_P(theta) = E_Q(theta) - theta.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolationError, ValidationError
+from .errors import DomainError, ValidationError
 from .models import DiscreteJointModel, GaussianModel, JointModel, _frozen_array, llr
 
 ATOM_MERGE_TOL = 1e-12
@@ -169,10 +169,11 @@ def chernoff_exponent(model: JointModel, theta: float, side: str = "Q") -> Expon
     """Legendre transform sup_lam (lam * theta - psi(lam)) of the chosen
     log-MGF, for theta in the closed interval [-KL(Q||P), KL(P||Q)].
 
-    The objective is concave, so a golden-section search on a bracket that is
-    grown geometrically from [-1, 2] (clipped at the Gaussian integrability
-    walls) finds the supremum; for valid theta the maximiser actually lies in
-    [0, 1] (side Q) or [-1, 0] (side P) and no growth is needed.
+    psi_q is convex with slope -KL(Q||P) at 0 and KL(P||Q) at 1, so for such
+    theta the concave side-Q objective peaks in [0, 1], which lies inside the
+    Gaussian integrability walls; one golden-section search there finds it.
+    Side P follows from psi_p(lam) = psi_q(lam + 1): E_P(theta) = E_Q(theta)
+    - theta, attained one below the side-Q maximiser.
     """
     theta = float(theta)
     if side not in ("Q", "P"):
@@ -184,51 +185,12 @@ def chernoff_exponent(model: JointModel, theta: float, side: str = "Q") -> Expon
             f"theta must lie in [{lo_theta:g}, {hi_theta:g}], got {theta!r}"
         )
     theta = min(max(theta, lo_theta), hi_theta)
-
-    if side == "Q":
-        psi = lambda lam: psi_q(model, lam)
-    else:
-        psi = lambda lam: psi_p(model, lam)
-
-    if isinstance(model, GaussianModel):
-        wall_lo, wall_hi = _gaussian_lambda_walls(model.rho)
-        if side == "P":
-            wall_lo, wall_hi = wall_lo - 1.0, wall_hi - 1.0
-        margin = 1e-9 * (wall_hi - wall_lo)
-        wall_lo, wall_hi = wall_lo + margin, wall_hi - margin
-    else:
-        wall_lo, wall_hi = -math.inf, math.inf
-
-    f = lambda lam: lam * theta - psi(lam)
-    lo, hi = max(-1.0, wall_lo), min(2.0, wall_hi)
-    total_iters = 0
-    for _ in range(64):
-        x, fx, iters = _golden_max(f, lo, hi)
-        total_iters += iters
-        span = hi - lo
-        at_lo = x - lo < 1e-6 * span
-        at_hi = hi - x < 1e-6 * span
-        if at_lo and lo > wall_lo:
-            lo = max(wall_lo, lo - 2.0 * span)
-        elif at_hi and hi < wall_hi:
-            hi = min(wall_hi, hi + 2.0 * span)
-        else:
-            if (at_lo and lo <= wall_lo) or (at_hi and hi >= wall_hi):
-                warnings.warn(
-                    "supremum attained at an integrability wall; returning the "
-                    "boundary value",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return ExponentResult(
-                theta=theta,
-                value=max(0.0, fx),
-                argmax_lambda=x,
-                iterations=total_iters,
-            )
-    raise InvariantViolationError(
-        "bracket expansion failed to settle; unreachable for theta inside the "
-        "divergence interval"
+    objective = lambda lam: lam * theta - psi_q(model, lam)
+    x, fx, iterations = _golden_max(objective, 0.0, 1.0)
+    if side == "P":
+        x, fx = x - 1.0, fx - theta
+    return ExponentResult(
+        theta=theta, value=max(0.0, fx), argmax_lambda=x, iterations=iterations
     )
 
 

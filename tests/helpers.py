@@ -10,8 +10,11 @@ whole-chunk draws and array expressions instead of the Monte-Carlo pd
 kernel's blocks.
 """
 
+import importlib.util
 import itertools
 import math
+import pathlib
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -21,6 +24,8 @@ from dbdetect import rng as rngmod
 from dbdetect.errors import CapacityError
 from dbdetect.models import DiscreteJointModel, GaussianModel, make_bernoulli
 from dbdetect.spectral import SpectralProfile
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 DIAG_JOINT = np.array([[0.4, 0.1], [0.1, 0.4]])
 
@@ -396,3 +401,26 @@ def dense_exact_tv(model: DiscreteJointModel, n: int, d: int) -> float:
     p1 /= math.factorial(n)
     p0 = p0_side[:, None] * p0_side[None, :]
     return 0.5 * float(np.abs(p0 - p1).sum())
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's worker, loaded from its file
+# ---------------------------------------------------------------------------
+
+
+def load_perfbench_worker():
+    """``perfbench/worker.py`` as a fresh module (perfbench is not a
+    package).  Its dataclasses look their module up while it runs, and it
+    imports ``tracer.py`` by its bare name."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_worker", PERFBENCH / "worker.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        del sys.modules[spec.name]
+    return module

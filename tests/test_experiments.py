@@ -518,9 +518,15 @@ class TestWorkers:
 @pytest.fixture
 def blas_threads(monkeypatch):
     """The OpenBLAS thread count getter, with the count set to 2 so that a pin
-    to 1 shows; its value at every trial's null-pair draw is logged."""
+    to 1 shows; its value at every trial's null-pair draw is logged.  Where
+    numpy reports an OpenBLAS build, a lookup that finds no thread count
+    fails: pooled points would then run BLAS threads on every worker."""
     functions = experiments._openblas_thread_functions()
     if functions is None:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert "openblas" not in blas["name"].lower(), (
+            f"numpy's BLAS is {blas['name']}, but no OpenBLAS thread count was found"
+        )
         pytest.skip("numpy's BLAS exposes no OpenBLAS thread count")
     get_threads, set_threads = functions
     before = get_threads()

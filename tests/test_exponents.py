@@ -213,6 +213,71 @@ class TestChernoffExponents:
         with pytest.raises(DomainError):
             chernoff_exponent(diag_model(), -div.kl_qp - 0.1, "P")
 
+    def test_side_p_is_side_q_shifted_exactly(self):
+        """Inside the interval E_P = E_Q - theta and the side-P maximiser is
+        the side-Q one minus 1, bit for bit: both sides share one search."""
+        for model in ALL_MODELS() + [gauss(0.999999)]:
+            div = kl_divergences(model)
+            for theta in np.linspace(-div.kl_qp, div.kl_pq, 9)[1:-1]:
+                eq = chernoff_exponent(model, theta, "Q")
+                ep = chernoff_exponent(model, theta, "P")
+                assert ep.value == eq.value - theta
+                assert ep.argmax_lambda == eq.argmax_lambda - 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "model",
+        [
+            pytest.param(gauss(rho), id=f"gauss{rho}")
+            for rho in (0.05, -0.05, 0.5, -0.5, 0.95, -0.95, 0.999999)
+        ]
+        + [
+            pytest.param(diag_model(), id="diag"),
+            pytest.param(random_discrete_model(np.random.default_rng(13), 3), id="random3"),
+        ],
+    )
+    def test_matches_bounded_scipy_search(self, model):
+        """Both exponents agree within 1e-9 with scipy's bounded minimiser on
+        [-2, 3], at both ends of the theta interval and inside it."""
+        div = kl_divergences(model)
+        for theta in (-div.kl_qp, -0.5 * div.kl_qp, 0.0, 0.5 * div.kl_pq, div.kl_pq):
+            for side in ("Q", "P"):
+                assert chernoff_exponent(model, theta, side).value == pytest.approx(
+                    bounded_legendre_transform(model, theta, side), rel=1e-9, abs=1e-9
+                )
+
+
+def bounded_legendre_transform(model, theta: float, side: str) -> float:
+    """sup_lam (lam * theta - psi(lam)) by scipy's bounded scalar minimiser on
+    [-2, 3], cut to the log-MGF's domain for Gaussian models.  psi_p comes
+    from its direct form (Gaussian) or the joint-law sum (discrete), not from
+    the tilt identity."""
+    from scipy.optimize import minimize_scalar
+
+    lo, hi = -2.0, 3.0
+    if isinstance(model, GaussianModel):
+        centre = 1.0 if side == "Q" else 0.0
+        half_width = (1.0 - 1e-9) / abs(model.rho)
+        lo, hi = max(lo, centre - half_width), min(hi, centre + half_width)
+        if side == "Q":
+            psi = lambda lam: psi_q(model, lam)
+        else:
+            psi = lambda lam: psi_p_gaussian_direct(model.rho, lam)
+    else:
+        q = model.marginal
+        weights = np.outer(q, q) if side == "Q" else model.joint
+        mask = weights > 0
+        psi = lambda lam: math.log(
+            float(np.sum(weights[mask] * np.exp(lam * model.llr_table[mask])))
+        )
+    result = minimize_scalar(
+        lambda lam: psi(lam) - lam * theta,
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return max(0.0, -float(result.fun))
+
 
 class TestCenteredKernel:
     def test_gaussian_closed_form(self):

@@ -6,10 +6,7 @@ such a name, which would otherwise break only traced benchmark runs
 
 import ast
 import importlib
-import importlib.util
 import inspect
-import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -18,25 +15,12 @@ import pytest
 from dbdetect import experiments
 from dbdetect.detectors import CountTestPlan
 
-PERFBENCH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
-)
+from helpers import load_perfbench_worker
 
 
 @pytest.fixture(scope="module")
 def worker():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_worker", os.path.join(PERFBENCH, "worker.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    sys.path.insert(0, PERFBENCH)  # worker.py imports tracer.py by its bare name
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(PERFBENCH)
-    yield module
-    del sys.modules[spec.name]
+    return load_perfbench_worker()
 
 
 def test_entry_points_rebind_the_functions_they_name(worker):

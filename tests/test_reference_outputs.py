@@ -2,48 +2,41 @@
 benchmark workloads must equal the pinned ``perfbench/reference/*.csv``
 bytes, which this module only reads.
 
-The plans mirror ``perfbench/worker.py::build_ops`` at full size; keep them
-in step with that function.
+The plans are read from ``perfbench/worker.py::build_ops`` at full size, so
+a change to a workload's plan is made there alone.
 """
-
-import pathlib
 
 import pytest
 
 from dbdetect import experiments
-from dbdetect.models import GaussianModel, make_bernoulli
 
-REFERENCE_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+from helpers import PERFBENCH, load_perfbench_worker
+
+REFERENCE_DIR = PERFBENCH / "reference"
 SEED = 0
 THREADS = 2  # the benchmark's harness threads on a machine with two or more cores
 
 
 def _plans():
-    gauss = GaussianModel(rho=0.5)
-    bern = make_bernoulli(0.6, 0.3)
+    worker = load_perfbench_worker()
     return {
-        "mc-sum-count.sweep": experiments.TrialPlan(
-            model=GaussianModel(rho=0.25), n=100, d=10, trials=300, seed=SEED,
-            detectors=("sum", "count"), tau_count="half-kl", pd_samples=100_000,
-            sweep=experiments.SweepGrid(param_values=(0.25, 0.75), d_values=(10, 100)),
-        ),
-        "mc-scan.gaussian-glrt": experiments.TrialPlan(
-            model=gauss, n=100, d=10, trials=8, seed=SEED, detectors=("glrt",)
-        ),
-        "mc-scan.bernoulli-glrt-count": experiments.TrialPlan(
-            model=bern, n=100, d=100, trials=8, seed=SEED,
-            detectors=("glrt", "count"), tau_count="half-kl",
-        ),
-        "exact.oracle-glrt": experiments.TrialPlan(
-            model=bern, n=8, d=10, trials=50, seed=SEED,
-            detectors=("np-oracle", "glrt"),
-        ),
+        f"{workload}.{op.label}": op.plan
+        for workload in worker.WORKLOADS
+        for op in worker.build_ops(workload, SEED, tiny=False)
+        if op.kind == "risk"
     }
 
 
-@pytest.mark.parametrize("label", sorted(_plans()))
+PLANS = _plans()
+
+
+def test_every_reference_csv_has_a_plan():
+    assert sorted(path.stem for path in REFERENCE_DIR.glob("*.csv")) == sorted(PLANS)
+
+
+@pytest.mark.parametrize("label", sorted(PLANS))
 def test_risk_csv_equals_reference_bytes(label):
-    plan = _plans()[label]
+    plan = PLANS[label]
     errors: list = []
     estimates = experiments.sweep(plan, threads=THREADS, error_sink=errors)
     assert errors == []
