@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Subcommands: validate, sample, detect, risk, sweep, bounds, chernoff,
-tv-oracle.  Exit codes: 0 success, 1 a usage error or any package error
-other than a capacity guard (bad input, or a broken internal invariant), 2
-capacity error; see ``dbdetect.errors``.
+tv-oracle.  Exit codes: 0 success, 1 a usage error, a file that cannot be
+read or written, or any package error other than a capacity guard (bad
+input, or a broken internal invariant), 2 capacity error; see
+``dbdetect.errors``.
 All stochastic subcommands are deterministic in --seed, and their outputs do
 not depend on the thread count (--threads caps it; the default is the
 available parallelism).
@@ -12,6 +13,7 @@ available parallelism).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -43,7 +45,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    text = json.dumps(
+        payload, indent=2, sort_keys=True, allow_nan=True, default=np.ndarray.tolist
+    )
+    return text + "\n"
 
 
 def cmd_validate(args) -> int:
@@ -66,22 +71,6 @@ def cmd_sample(args) -> int:
             handle.write(",".join(str(int(v)) for v in pair.hidden_sigma) + "\n")
     print(f"wrote {args.out}_X.csv and {args.out}_Y.csv (n={args.n}, d={args.d})")
     return EXIT_OK
-
-
-def _verdict_payload(verdict) -> dict:
-    aux = {}
-    for key, value in verdict.aux.items():
-        if isinstance(value, np.ndarray):
-            aux[key] = [int(v) for v in value]
-        else:
-            aux[key] = value
-    return {
-        "detector": verdict.detector,
-        "decision": verdict.decision,
-        "statistic": verdict.statistic,
-        "threshold": verdict.threshold,
-        "aux": aux,
-    }
 
 
 def cmd_detect(args) -> int:
@@ -108,15 +97,11 @@ def cmd_detect(args) -> int:
         for detector in experiments.prepare(model, pair.n, pair.d, plan, plans)
     ]
     if args.format == "csv":
-        lines = ["detector,decision,statistic,threshold"]
-        for v in verdicts:
-            lines.append(
-                f"{v.detector},{v.decision},"
-                f"{format(v.statistic, '.17g')},{format(v.threshold, '.17g')}"
-            )
-        _write_output("\n".join(lines) + "\n", args.out)
+        columns = ("detector", "decision", "statistic", "threshold")
+        rows = ([getattr(v, c) for c in columns] for v in verdicts)
+        _write_output(experiments.csv_text(columns, rows), args.out)
     else:
-        _write_output(_json_dumps([_verdict_payload(v) for v in verdicts]), args.out)
+        _write_output(_json_dumps([dataclasses.asdict(v) for v in verdicts]), args.out)
     return EXIT_OK
 
 
@@ -188,28 +173,33 @@ def cmd_chernoff(args) -> int:
     model = cfg.load_model(args.model)
     div = kl_divergences(model)
     if args.thetas:
-        thetas = [float(tok) for tok in args.thetas.split(",")]
+        try:
+            thetas = [float(tok) for tok in args.thetas.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"--thetas: expected comma-separated numbers, got {args.thetas!r}"
+            )
     else:
+        if args.theta_points < 1:
+            raise ValidationError(
+                f"--theta-points must be >= 1, got {args.theta_points}"
+            )
         width = div.kl_pq + div.kl_qp
         pad = 1e-6 * width
         thetas = list(
             np.linspace(-div.kl_qp + pad, div.kl_pq - pad, args.theta_points)
         )
+    columns = ("theta", "e_q", "e_p", "argmax_lambda")
     rows = []
     for theta in thetas:
         rq = chernoff_exponent(model, theta, side="Q")
         rp = chernoff_exponent(model, theta, side="P")
         rows.append((theta, rq.value, rp.value, rq.argmax_lambda))
     if args.format == "json":
-        payload = [
-            dict(zip(("theta", "e_q", "e_p", "argmax_lambda"), row)) for row in rows
-        ]
+        payload = [dict(zip(columns, row)) for row in rows]
         _write_output(_json_dumps(payload), args.out)
     else:
-        lines = ["theta,e_q,e_p,argmax_lambda"]
-        for row in rows:
-            lines.append(",".join(format(v, ".17g") for v in row))
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_output(experiments.csv_text(columns, rows), args.out)
     return EXIT_OK
 
 
@@ -360,7 +350,7 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except DetectionError as exc:
+    except (DetectionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

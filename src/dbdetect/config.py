@@ -289,25 +289,28 @@ def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
 
 def read_matrix_csv(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if len(lines) < 2 or lines[0] != "n,d":
+        lines = [(k, line.strip()) for k, line in enumerate(handle, 1) if line.strip()]
+    if len(lines) < 2 or lines[0][1] != "n,d":
         raise ValidationError(f"{path}:1: expected the header line 'n,d'")
     try:
-        n, d = (int(tok) for tok in lines[1].split(","))
+        n, d = (int(tok) for tok in lines[1][1].split(","))
     except ValueError:
-        raise ValidationError(f"{path}:2: expected 'n,d' integer values")
+        raise ValidationError(f"{path}:{lines[1][0]}: expected 'n,d' integer values")
     if len(lines) != 2 + n:
         raise ValidationError(
             f"{path}: expected {n} data rows after the header, got {len(lines) - 2}"
         )
     rows = []
-    for offset, line in enumerate(lines[2:], start=3):
+    for number, line in lines[2:]:
         values = line.split(",")
         if len(values) != d:
             raise ValidationError(
-                f"{path}:{offset}: expected {d} comma-separated values"
+                f"{path}:{number}: expected {d} comma-separated values"
             )
-        rows.append([float(v) for v in values])
+        try:
+            rows.append([float(v) for v in values])
+        except ValueError:
+            raise ValidationError(f"{path}:{number}: expected numbers, got {line!r}")
     return np.array(rows, dtype=np.float64)
 
 

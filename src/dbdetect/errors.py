@@ -5,7 +5,8 @@ a traceback:
 
 * 1 (``error: ...``): :class:`ValidationError` and its subclasses,
   :class:`InvariantViolationError` (``error: internal invariant violated:
-  ...``), and any other :class:`DetectionError`;
+  ...``), any other :class:`DetectionError`, and an ``OSError`` from a
+  file that cannot be read or written;
 * 2 (``capacity error: ...``): :class:`CapacityError`.
 """
 

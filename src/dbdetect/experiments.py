@@ -176,11 +176,13 @@ def prepare(
 
 
 def thread_count(override: Optional[int] = None) -> int:
-    """The cap on a risk point's worker threads: ``override``, else the
-    core count.  A point may use fewer; see :func:`point_workers`."""
-    if override is not None:
-        return max(1, int(override))
-    return os.cpu_count() or 1
+    """The cap on a risk point's worker threads: ``override`` (at least 1),
+    else the core count.  A point may use fewer; see :func:`point_workers`."""
+    if override is None:
+        return os.cpu_count() or 1
+    if override < 1:
+        raise ValidationError(f"threads must be >= 1, got {override}")
+    return int(override)
 
 
 # Detectors whose trials hold the interpreter lock: the assignment solver's
@@ -480,11 +482,16 @@ def estimate_to_dict(estimate: RiskEstimate) -> dict:
     return {column: getattr(estimate, column) for column in CSV_COLUMNS}
 
 
-def estimates_to_csv(estimates: Sequence[RiskEstimate]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for e in estimates:
-        lines.append(",".join(_fmt(v) for v in estimate_to_dict(e).values()))
+def csv_text(columns: Sequence[str], rows) -> str:
+    """CSV with a header line and one line per row of values; floats in
+    round-trip precision, None as an empty cell."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def estimates_to_csv(estimates: Sequence[RiskEstimate]) -> str:
+    return csv_text(CSV_COLUMNS, (estimate_to_dict(e).values() for e in estimates))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +658,7 @@ def bound_report(
     weak = spectral.weak_lb_statistic(profile)
     report["weak_statistic"] = weak
     report["weak_statistic_times_d"] = d * weak
-    report["weak_tail_bound"] = spectral.gaussian_tail_bound(profile)
+    report["weak_tail_bound"] = profile.tail
 
     try:
         report["strong_fixed_d_threshold"] = spectral.strong_lb_fixed_d_threshold(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,11 +26,15 @@ from .errors import (
 )
 from .models import DiscreteJointModel, _frozen_array
 
-# The second-moment recurrence costs O(n^2): n = 10^4 takes about 0.2 s on a
-# 2-vCPU machine, and the time grows fourfold per doubling of n.
+# The second-moment recurrence costs O(n^2 + n L) for L eigenvalues: n = 10^4
+# took 0.40-0.79 s at rho = 0.999 (L = 27,619) on a 2-vCPU machine.
 MOMENT_MAX_N = 10_000
 
 TOP_EIGENVALUE_TOL = 1e-10
+
+GAUSSIAN_TRUNCATION_TOL = 1e-12
+# 2^22 eigenvalues: rho = 0.99999 needs 2.76 M, rho = 0.999999 needs 27.6 M.
+SPECTRUM_MAX_BYTES = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,13 +44,13 @@ class SpectralProfile:
     The top eigenvalue is always 1 (the constant function is invariant); it
     is validated within 1e-10 and snapped exactly.  Signed values are kept,
     and every statistic downstream consumes even powers only, so the sign
-    convention cannot leak into any output.
+    convention cannot leak into any output.  ``tail`` bounds the part of
+    sum_{i>=1} lam_i^2 / (1 - lam_i^2) that a truncated spectrum leaves out
+    (0 for an exact one).
     """
 
     eigenvalues: np.ndarray
-    source: str  # "discrete-exact" or "gaussian-truncated"
-    truncation_tol: Optional[float] = None
-    rho: Optional[float] = None  # populated for gaussian-truncated profiles
+    tail: float = 0.0
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=np.float64).copy()
@@ -89,46 +92,42 @@ def eigenvalues(model: DiscreteJointModel) -> SpectralProfile:
     inv_sqrt_q = 1.0 / np.sqrt(model.marginal)
     sym = model.joint * np.outer(inv_sqrt_q, inv_sqrt_q)
     lam = np.linalg.eigvalsh(sym)
-    return SpectralProfile(eigenvalues=lam, source="discrete-exact")
+    return SpectralProfile(eigenvalues=lam)
 
 
-def gaussian_profile(rho: float, tol: float = 1e-12) -> SpectralProfile:
+def gaussian_profile(rho: float) -> SpectralProfile:
     """Geometric spectrum {rho^l} of the Gaussian likelihood kernel,
-    truncated once |rho^l| drops below ``tol``."""
+    truncated once |rho^l| drops below ``GAUSSIAN_TRUNCATION_TOL``.  With L
+    powers kept, the dropped terms of the weak statistic are bounded by
+    ``tail`` = rho^{2L} / ((1 - rho^2)(1 - rho^{2L}))."""
     rho = float(rho)
     if not -1.0 < rho < 1.0:
         raise DomainError(f"gaussian spectrum requires |rho| < 1, got {rho!r}")
-    if not tol > 0.0:
-        raise ValidationError(f"tol must be positive, got {tol!r}")
     if rho == 0.0:
-        lam = np.array([1.0])
-    else:
-        k = max(1, math.ceil(math.log(tol) / math.log(abs(rho))))
-        lam = rho ** np.arange(k + 1, dtype=np.float64)
+        return SpectralProfile(eigenvalues=np.array([1.0]))
+    tol = GAUSSIAN_TRUNCATION_TOL
+    size = math.ceil(math.log(tol) / math.log(abs(rho))) + 1
+    if size * 8 > SPECTRUM_MAX_BYTES:
+        raise CapacityError(
+            f"the gaussian spectrum at rho = {rho!r} needs {size} eigenvalues "
+            f"({size * 8} bytes), above the {SPECTRUM_MAX_BYTES}-byte budget"
+        )
+    r2 = rho * rho
+    r2l = r2**size
+    tail = r2l / ((1.0 - r2) * (1.0 - r2l))
+    if tail >= tol:
+        raise InvariantViolationError(f"truncation tail {tail:g} is not below {tol:g}")
     return SpectralProfile(
-        eigenvalues=lam, source="gaussian-truncated", truncation_tol=tol, rho=rho
+        eigenvalues=rho ** np.arange(size, dtype=np.float64), tail=tail
     )
-
-
-def gaussian_tail_bound(profile: SpectralProfile) -> float:
-    """Bound on the part of sum lam_i^2 / (1 - lam_i^2) lost to truncation.
-
-    With L stored powers rho^0..rho^{L-1}, the dropped terms are bounded by
-    rho^{2L} / ((1 - rho^2)(1 - rho^{2L})).  Zero for exact profiles.
-    """
-    if profile.source != "gaussian-truncated" or profile.rho in (None, 0.0):
-        return 0.0
-    r2 = profile.rho * profile.rho
-    r2l = r2 ** profile.eigenvalues.size
-    return r2l / ((1.0 - r2) * (1.0 - r2l))
 
 
 def weak_lb_statistic(profile: SpectralProfile) -> float:
     """The series sum_{i>=1} lam_i^2 / (1 - lam_i^2).
 
     Weak detection is impossible whenever this is vanishing relative to 1/d;
-    the caller compares d times this value against 1.  For truncated Gaussian
-    profiles the analytic geometric tail bound is added.
+    the caller compares d times this value against 1.  The profile's
+    truncation ``tail`` is added.
     """
     sub = profile.subdominant
     if sub.size and np.abs(sub).max() >= 1.0:
@@ -136,14 +135,7 @@ def weak_lb_statistic(profile: SpectralProfile) -> float:
             "profile has a subdominant eigenvalue of modulus 1; the series diverges"
         )
     s2 = sub * sub
-    total = float(np.sum(s2 / (1.0 - s2)))
-    tail = gaussian_tail_bound(profile)
-    if profile.truncation_tol is not None and tail >= profile.truncation_tol:
-        raise InvariantViolationError(
-            f"truncation tail bound {tail:g} exceeds the truncation tolerance "
-            f"{profile.truncation_tol:g}; retruncate with a smaller tol"
-        )
-    return total + tail
+    return float(np.sum(s2 / (1.0 - s2))) + profile.tail
 
 
 def strong_lb_fixed_d_threshold(profile: SpectralProfile) -> float:
@@ -189,10 +181,10 @@ def second_moment_exact(profile: SpectralProfile, n: int, d: int) -> float:
     the sum of 2k-th eigenvalue powers.  That expectation is the cycle index
     h_n of S_n, computed by the exponential-formula recurrence
     h_m = (1/m) sum_{k=1..m} a_k h_{m-k}, h_0 = 1, in log space: every term
-    is positive, so nothing cancels.  O(n^2) time and O(n) memory, guarded
-    by n <= ``MOMENT_MAX_N`` (about 0.2 s at the cap).  Returns ``inf`` when
-    the value exceeds the double range.  Always >= 1, with equality exactly
-    under independence.
+    is positive, so nothing cancels.  O(n^2 + n L) time for L eigenvalues
+    and O(n + L) memory, guarded by n <= ``MOMENT_MAX_N``.  Returns ``inf``
+    when the value exceeds the double range.  Always >= 1, with equality
+    exactly under independence.
     """
     if not 1 <= n <= MOMENT_MAX_N:
         raise CapacityError(

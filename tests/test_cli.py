@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -15,7 +18,7 @@ from dbdetect.config import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from dbdetect import experiments
+from dbdetect import experiments, spectral
 from dbdetect.detectors import NP_ORACLE_MAX_N, glrt, sum_test
 from dbdetect.errors import DetectionError, InvariantViolationError, ValidationError
 from dbdetect.exponents import kl_divergences
@@ -559,3 +562,78 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.rstrip().endswith("broken")
         if isinstance(exc, InvariantViolationError):
             assert "internal invariant violated" in err
+
+    def test_spectrum_over_its_byte_budget_exits_2(
+        self, model_file, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(spectral, "SPECTRUM_MAX_BYTES", 1000)
+        path = model_file("kind = gaussian\nrho = 0.99\n")
+        assert run_cli("bounds", "--model", path, "--n", 4, "--d", 2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and err.count("\n") == 1
+        assert "1000-byte budget" in err
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing-model", "missing-plan", "missing-x", "unwritable-out",
+         "bad-cell", "bad-thetas", "bad-theta-points", "zero-threads"],
+    )
+    def test_bad_input_is_one_error_line(self, model_file, tmp_path, capsys, case):
+        model_path = model_file(GAUSS_MODEL)
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(PLAN_TEXT)
+        pair = sample_alt(load_model(model_path), 6, 4, seed=13)
+        write_matrix_csv(str(tmp_path / "X.csv"), pair.x)
+        write_matrix_csv(str(tmp_path / "Y.csv"), pair.y)
+        bad_x = tmp_path / "bad.csv"
+        bad_x.write_text("n,d\n1,2\n\n0.5,abc\n")
+        detect = ["detect", "--model", model_path, "--y", tmp_path / "Y.csv",
+                  "--detector", "sum"]
+        args, expected = {
+            "missing-model": (["validate", "--model", tmp_path / "missing.txt"],
+                              "missing.txt"),
+            "missing-plan": (["risk", "--plan", tmp_path / "missing.txt"],
+                             "missing.txt"),
+            "missing-x": ([*detect, "--x", tmp_path / "nofile.csv"], "nofile.csv"),
+            "unwritable-out": (["sample", "--model", model_path, "--n", 4, "--d", 2,
+                                "--seed", 1, "--out", tmp_path / "no-dir" / "x"],
+                               "no-dir"),
+            "bad-cell": ([*detect, "--x", bad_x], f"{bad_x}:4: expected numbers"),
+            "bad-thetas": (["chernoff", "--model", model_path, "--thetas", "abc"],
+                           "--thetas"),
+            "bad-theta-points": (["chernoff", "--model", model_path,
+                                  "--theta-points", -3], "--theta-points"),
+            "zero-threads": (["risk", "--plan", plan_path, "--threads", 0],
+                             "threads must be >= 1"),
+        }[case]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expected in err and "Traceback" not in err
+
+
+def test_package_runs_without_scipy(tmp_path):
+    """scipy is a test-only dependency: with its import blocked, the package
+    and the CLI import, and bounds, tv-oracle and a small risk point run."""
+    model = tmp_path / "model.txt"
+    model.write_text(DIAG_MODEL)
+    plan = tmp_path / "plan.txt"
+    plan.write_text(PLAN_TEXT)
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+import dbdetect
+from dbdetect.cli import main
+assert main(["bounds", "--model", {str(model)!r}, "--n", "6", "--d", "2"]) == 0
+assert main(["tv-oracle", "--model", {str(model)!r}, "--n", "2", "--d", "1"]) == 0
+assert main(["risk", "--plan", {str(plan)!r}, "--trials", "4"]) == 0
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules
+               if sys.modules[name] is not None)
+"""
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,6 +1,7 @@
 """Kernel spectra, cycle types, and second-moment machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dbdetect.errors import (
     DomainError,
     InvariantViolationError,
 )
+from dbdetect import spectral
 from dbdetect.models import make_bernoulli
 from dbdetect.spectral import (
     MOMENT_MAX_N,
@@ -40,7 +42,7 @@ from helpers import (
 
 
 def profile_of(*values):
-    return SpectralProfile(eigenvalues=np.array(values, float), source="discrete-exact")
+    return SpectralProfile(eigenvalues=np.array(values, float))
 
 
 class TestKernelMatrix:
@@ -103,9 +105,49 @@ class TestEigenvalues:
 
 class TestGaussianProfile:
     def test_truncation_length(self):
-        prof = gaussian_profile(0.5, tol=1e-6)
-        assert prof.eigenvalues.size == 21
+        # 0.5^40 < 1e-12 <= 0.5^39
+        prof = gaussian_profile(0.5)
+        assert prof.eigenvalues.size == 41
         np.testing.assert_allclose(prof.eigenvalues[:3], [1.0, 0.5, 0.25], atol=0)
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5, 0.9])
+    def test_tail_bounds_the_dropped_series(self, rho):
+        prof = gaussian_profile(rho)
+        size = prof.eigenvalues.size
+        r2 = rho * rho
+        assert prof.tail == r2**size / ((1 - r2) * (1 - r2**size))
+        dropped = r2 ** np.arange(size, 20 * size)
+        series = float(np.sum(dropped / (1 - dropped)))
+        assert 0.0 < series <= prof.tail * (1 + 1e-12)
+        assert prof.tail < spectral.GAUSSIAN_TRUNCATION_TOL
+
+    def test_exact_profiles_have_no_tail(self):
+        assert gaussian_profile(0.0).tail == 0.0
+        assert eigenvalues(diag_model()).tail == 0.0
+
+    def test_tail_above_tolerance_is_an_invariant_violation(self, monkeypatch):
+        # with tolerance 0.5, rho = 0.9 keeps 8 powers and its tail is 1.19
+        monkeypatch.setattr(spectral, "GAUSSIAN_TRUNCATION_TOL", 0.5)
+        with pytest.raises(InvariantViolationError, match="truncation tail"):
+            gaussian_profile(0.9)
+
+    def test_byte_budget(self, monkeypatch):
+        # rho = 0.99 needs 2751 eigenvalues (22,008 bytes), rho = 0.5 needs 41
+        monkeypatch.setattr(spectral, "SPECTRUM_MAX_BYTES", 1000)
+        with pytest.raises(CapacityError, match="1000-byte budget"):
+            gaussian_profile(0.99)
+        assert gaussian_profile(0.5).eigenvalues.size == 41
+
+    def test_over_budget_raises_before_allocating(self):
+        # 2.76e8 eigenvalues (2.2 GB) would be needed; nothing is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                gaussian_profile(1.0 - 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_tiny_rho_is_effectively_only_top(self):
         prof = gaussian_profile(1e-9)
@@ -113,13 +155,13 @@ class TestGaussianProfile:
         assert np.abs(prof.eigenvalues[1:]).max() <= 1e-9
 
     def test_negative_rho_sorted_descending(self):
-        prof = gaussian_profile(-0.5, tol=1e-6)
+        prof = gaussian_profile(-0.5)
         lam = prof.eigenvalues
         assert lam[0] == 1.0
         assert np.all(np.diff(lam) <= 0)
         assert (lam < 0).any()
         # same squared content as the positive-rho profile
-        pos = gaussian_profile(0.5, tol=1e-6)
+        pos = gaussian_profile(0.5)
         np.testing.assert_allclose(
             np.sort(lam**2), np.sort(pos.eigenvalues**2), atol=1e-15
         )
