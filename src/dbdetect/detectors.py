@@ -37,7 +37,9 @@ _PERMANENT_CHUNK = 1 << 14
 _PERMANENT_MIN_EXP = -(2.0**40)
 # entries per block of the Monte-Carlo pd kernel's z draws and arithmetic
 _PD_BLOCK_ELEMS = 1 << 14
-# composition count guard for the exact d-fold convolution tail
+# partial compositions the exact pd walk may build, C(d + k, d + 1) for k
+# atoms: about 60 bytes each, and 75 ms for Bernoulli's 3 atoms at d = 1000
+# on a 2-vCPU machine
 EXACT_TAIL_MAX_TERMS = 2_000_000
 # symbolic count-test level: half of KL(P||Q), resolved per model
 TAU_COUNT_HALF_KL = "half-kl"
@@ -351,43 +353,42 @@ def sum_test(
 
 def _exact_pd(model: DiscreteJointModel, d: int, tau_count: float) -> float:
     """Exact tail of the d-fold LLR convolution under the joint law:
-    Pr[sum of d atom draws >= d * tau_count].
+    Pr[sum of d atom draws >= d * tau_count], the multinomial weights of the
+    compositions of d over the distinct LLR atoms that reach the level.
 
-    Enumerates compositions of d over the distinct LLR atoms with multinomial
-    weights, which is the d-fold convolution with exact merging.
+    A walk over the atoms: after atom ``pos`` each entry is one way to spend
+    some of the d draws on atoms ``0..pos`` (earlier atoms outermost, counts
+    ascending), and the last atom takes the draws left.  The terms are added
+    one at a time with ``math.exp``, in that order.
     """
     atoms = llr_atoms(model)
     k = len(atoms)
-    if math.comb(d + k - 1, k - 1) > EXACT_TAIL_MAX_TERMS:
+    built = math.comb(d + k, d + 1)
+    if built > EXACT_TAIL_MAX_TERMS:
         raise CapacityError(
-            f"exact convolution would enumerate more than "
-            f"{EXACT_TAIL_MAX_TERMS} compositions (d={d}, {k} LLR atoms)"
+            f"the exact convolution would build {built} partial compositions "
+            f"(d={d}, {k} LLR atoms), above {EXACT_TAIL_MAX_TERMS}"
         )
     values = atoms.values
     log_p = np.log(atoms.p_probs)
-    target = d * tau_count
+    lgammas = np.array([math.lgamma(c + 1) for c in range(d + 1)])
+    # per entry: LLR sum, log-probability, sum of lgamma(count + 1), draws left
+    value = log_prob = log_fact = np.zeros(1)
+    left = np.array([d])
+    for pos in range(k - 1):
+        reps = left + 1
+        c = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        value = np.repeat(value, reps) + c * values[pos]
+        log_prob = np.repeat(log_prob, reps) + c * log_p[pos]
+        log_fact = np.repeat(log_fact, reps) + lgammas[c]
+        left = np.repeat(left, reps) - c
+    hit = value + left * values[-1] >= d * tau_count
+    left = left[hit]
+    terms = math.lgamma(d + 1) - log_fact[hit] - lgammas[left] + log_prob[hit]
+    terms = terms + left * log_p[-1]
     total = 0.0
-
-    counts = [0] * k
-
-    def rec(pos: int, remaining: int, value_acc: float, log_prob_acc: float):
-        nonlocal total
-        if pos == k - 1:
-            value = value_acc + remaining * values[pos]
-            if value >= target:
-                log_coef = (
-                    math.lgamma(d + 1)
-                    - sum(math.lgamma(c + 1) for c in counts[: k - 1])
-                    - math.lgamma(remaining + 1)
-                )
-                total += math.exp(log_coef + log_prob_acc + remaining * log_p[pos])
-            return
-        for c in range(remaining + 1):
-            counts[pos] = c
-            rec(pos + 1, remaining - c, value_acc + c * values[pos], log_prob_acc + c * log_p[pos])
-        counts[pos] = 0
-
-    rec(0, d, 0.0, 0.0)
+    for term in terms.tolist():
+        total += math.exp(term)
     return min(1.0, total)
 
 
@@ -401,19 +402,12 @@ def _monte_carlo_pd(
     The stream is part of the reproducibility contract: ``samples`` matched
     rows are drawn from ``substream(seed, PD_ESTIMATE)`` in chunks of
     ``4_000_000 // d`` rows, each chunk as a block of ``a`` draws and then a
-    block of ``z`` draws, and a member pairs them as ``b = rho * a +
-    sqrt(1 - rho^2) * z``.  So the draws depend only on ``(seed, d,
-    samples)``, not on rho or tau_count, and sharing them relies on that:
-    members with the same three share one pass (a sweep estimates all its
-    models' plans at one d in a single call), and each member's estimate
-    equals a call with that member alone.
-
-    How the work on a chunk is split is not part of the contract.  The
-    ``z`` block is drawn a few rows at a time (the normal sampler consumes
-    the stream value by value, so the values are the same).  Each member's
-    arithmetic runs on those rows, about ``_PD_BLOCK_ELEMS`` entries, in
-    scratch buffers and in the whole-chunk expression's operation order, so
-    every per-row total and every hit is the same for any block size.
+    block of ``z`` draws (taken a few rows at a time, which gives the same
+    values), and a member pairs them as ``b = rho * a + sqrt(1 - rho^2) *
+    z``.  So the draws depend only on ``(seed, d, samples)``, not on rho or
+    tau_count: members with the same three share one pass (a sweep
+    estimates all its models' plans at one d in a single call), and each
+    member's estimate equals a call with that member alone.
     """
     params = []
     for model, tau_count in members:
@@ -424,43 +418,25 @@ def _monte_carlo_pd(
         )
     rng = rngmod.substream(seed, rngmod.PD_ESTIMATE)
     hits = [0] * len(params)
-    chunk = max(1, min(samples, 4_000_000 // max(d, 1)))
+    chunk = max(1, min(samples, 4_000_000 // d))
     block = max(1, min(chunk, _PD_BLOCK_ELEMS // d))
     a_chunk = np.empty((chunk, d))
-    z_block, aa, s, b, t = (np.empty((block, d)) for _ in range(5))
     done = 0
     while done < samples:
         size = min(chunk, samples - done)
         a_all = rng.standard_normal(out=a_chunk[:size])
         for lo in range(0, size, block):
             a = a_all[lo : lo + block]
-            rows = a.shape[0]
-            # the chunk's z block, drawn in order a block of rows at a time
-            z = rng.standard_normal(out=z_block[:rows])
-            a2, ss, bb, tt = aa[:rows], s[:rows], b[:rows], t[:rows]
-            np.multiply(a, a, out=a2)
+            z = rng.standard_normal(a.shape)
+            a2 = a * a
             for m, (rho, c, sqrt_c, two_rho, const, target) in enumerate(params):
-                # b = rho * a + sqrt(c) * z
-                np.multiply(a, rho, out=bb)
-                np.multiply(z, sqrt_c, out=ss)
-                np.add(bb, ss, out=bb)
-                # -(a * a + b * b) * rho * rho + 2 * rho * a * b; negating
-                # is exact, so -(t) * rho is t * -rho to the bit
-                np.multiply(bb, bb, out=ss)
-                np.add(a2, ss, out=tt)
-                np.multiply(tt, -rho, out=tt)
-                np.multiply(tt, rho, out=tt)
-                np.multiply(a, two_rho, out=ss)
-                np.multiply(ss, bb, out=ss)
-                np.add(tt, ss, out=tt)
-                totals = const + tt.sum(axis=1) / (2.0 * c)
+                b = a * rho + z * sqrt_c
+                t = (a2 + b * b) * -rho * rho + a * two_rho * b
+                totals = const + t.sum(axis=1) / (2.0 * c)
                 hits[m] += int((totals >= target).sum())
         done += size
-    estimates = []
-    for h in hits:
-        pd = h / samples
-        estimates.append((pd, math.sqrt(pd * (1.0 - pd) / samples)))
-    return estimates
+    pds = [h / samples for h in hits]
+    return [(pd, math.sqrt(pd * (1.0 - pd) / samples)) for pd in pds]
 
 
 def resolve_tau_count(model: JointModel, tau_count) -> float:

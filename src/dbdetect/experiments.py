@@ -27,8 +27,8 @@ import numpy as np
 from . import rng as rngmod
 from . import spectral
 # glrt, sum_test, count_test, np_oracle and make_count_plan are not called
-# here; they stay importable from this module, where perfbench/tracer.py
-# rebinds them
+# here; they stay importable from this module, where
+# perfbench/worker.py::ENTRY_POINTS rebinds them
 from .detectors import (  # noqa: F401
     TAU_COUNT_HALF_KL,
     CountPlans,
@@ -110,6 +110,8 @@ class TrialPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.pd_samples < 1:
+            raise ValidationError(f"pd_samples must be >= 1, got {self.pd_samples}")
         if not self.detectors:
             raise ValidationError("at least one detector is required")
         for name in self.detectors:
@@ -641,7 +643,9 @@ def bound_report(
     floor, the closed-form moment bound, the sum-test risk bound, and the
     exponent conditions of the scan and count tests.  Quantities undefined
     for the model (an independent model's thresholds) carry a note instead
-    of failing; n above ``spectral.MOMENT_MAX_N`` raises ``CapacityError``."""
+    of failing.  n < 1 raises ``ValidationError``, and a second moment whose
+    recurrence needs more than ``spectral.MOMENT_MAX_WORK`` steps, n (n + L)
+    for L eigenvalues, raises ``CapacityError`` before it starts."""
     report: dict = {
         "model_kind": model_kind(model),
         "param": model_param(model),

@@ -26,9 +26,11 @@ from .errors import (
 )
 from .models import DiscreteJointModel, _frozen_array
 
-# The second-moment recurrence costs O(n^2 + n L) for L eigenvalues: n = 10^4
-# took 0.40-0.79 s at rho = 0.999 (L = 27,619) on a 2-vCPU machine.
-MOMENT_MAX_N = 10_000
+# The second-moment recurrence costs n (n + L) steps for L eigenvalues; on a
+# 2-vCPU machine 1.0e8 took 0.31 s (rho = 0.5, n = 10^4), 3.76e8 0.84 s
+# (rho = 0.999, n = 10^4), and 4.0e8 1.16 s (rho = 0.5, n = 19,979) and
+# 0.64 s (rho = 0.99999, n = 144).
+MOMENT_MAX_WORK = 4 * 10**8
 
 TOP_EIGENVALUE_TOL = 1e-10
 
@@ -181,18 +183,20 @@ def second_moment_exact(profile: SpectralProfile, n: int, d: int) -> float:
     the sum of 2k-th eigenvalue powers.  That expectation is the cycle index
     h_n of S_n, computed by the exponential-formula recurrence
     h_m = (1/m) sum_{k=1..m} a_k h_{m-k}, h_0 = 1, in log space: every term
-    is positive, so nothing cancels.  O(n^2 + n L) time for L eigenvalues
-    and O(n + L) memory, guarded by n <= ``MOMENT_MAX_N``.  Returns ``inf``
-    when the value exceeds the double range.  Always >= 1, with equality
-    exactly under independence.
+    is positive, so nothing cancels.  n (n + L) time for L eigenvalues and
+    O(n + L) memory, refused above ``MOMENT_MAX_WORK`` before any work.
+    Returns ``inf`` when the value exceeds the double range.  Always >= 1,
+    with equality exactly under independence.
     """
-    if not 1 <= n <= MOMENT_MAX_N:
+    if n < 1 or d < 1:
+        raise ValidationError(f"n and d must be >= 1, got n={n}, d={d}")
+    work = n * (n + profile.eigenvalues.size)
+    if work > MOMENT_MAX_WORK:
         raise CapacityError(
-            f"the second-moment recurrence supports 1 <= n <= {MOMENT_MAX_N}, "
-            f"got {n}"
+            f"the second-moment recurrence at n={n} over "
+            f"{profile.eigenvalues.size} eigenvalues needs {work} steps, above "
+            f"the budget of {MOMENT_MAX_WORK}"
         )
-    if d < 1:
-        raise ValidationError(f"d must be >= 1, got {d}")
     log_a = d * np.log(_power_sums(profile, n))
     if log_a.max() == 0.0:
         # independence: every cycle factor is exactly 1

@@ -5,9 +5,10 @@ quadrature instead of closed forms, factorial enumeration instead of the
 assignment solver and the permanent's subset DP, a scalar loop instead of the
 solver's row-wise array scan, direct database enumeration instead of cycle
 types, a sum over cycle types instead of the cycle-index recurrence, one
-bounded draw per swap instead of Fisher-Yates's single array draw, and
+bounded draw per swap instead of Fisher-Yates's single array draw,
 whole-chunk draws and array expressions instead of the Monte-Carlo pd
-kernel's blocks.
+kernel's blocks, and a recursion over compositions instead of the exact pd's
+walk over atoms.
 """
 
 import importlib.util
@@ -22,6 +23,7 @@ import numpy as np
 
 from dbdetect import rng as rngmod
 from dbdetect.errors import CapacityError
+from dbdetect.exponents import llr_atoms
 from dbdetect.models import DiscreteJointModel, GaussianModel, make_bernoulli
 from dbdetect.spectral import SpectralProfile
 
@@ -94,14 +96,24 @@ def psi_p_gaussian_direct(rho: float, lam: float) -> float:
 
 def chi2_difference_sf(a: float, b: float, t: float, d: int) -> float:
     """P[a A - b B >= t] for A, B independent chi-square with d degrees of
-    freedom and a, b > 0, by 1-D quadrature over the quantile of B."""
+    freedom and a, b > 0.
+
+    Below y0 = max(0, -t / b) every value of B decides the event, so the
+    head P[B < y0] is exact; above it, P[A >= (t + b B) / a] is integrated
+    by 1-D quadrature over B's survival level w = P[B >= y], from 0 to
+    P[B >= y0].  (Integrating from 0 over B's quantile instead drops the
+    far tail: it gave exactly 1 at a = b = 0.475, t = -58.2, d = 100.)"""
     from scipy import integrate, stats
 
-    def tail(u):
-        return stats.chi2.sf((t + b * stats.chi2.ppf(u, d)) / a, d)
+    y0 = max(0.0, -t / b)
 
-    value, _ = integrate.quad(tail, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return value
+    def tail(w):
+        return stats.chi2.sf((t + b * stats.chi2.isf(w, d)) / a, d)
+
+    body, _ = integrate.quad(
+        tail, 0.0, stats.chi2.sf(y0, d), epsabs=1e-16, epsrel=1e-13, limit=200
+    )
+    return stats.chi2.cdf(y0, d) + body
 
 
 def sum_test_exact_risk(d: int, rho: float) -> float:
@@ -161,6 +173,43 @@ def full_chunk_monte_carlo_pd(
         done += size
     pd = hits / samples
     return pd, math.sqrt(pd * (1.0 - pd) / samples)
+
+
+def recursive_exact_pd(model: DiscreteJointModel, d: int, tau_count: float) -> float:
+    """The exact count-test pd by recursion over the compositions of d over
+    the distinct LLR atoms, with multinomial weights.  ``detectors._exact_pd``
+    walks the same compositions in the same order with arrays and must
+    return the same float.  The recursion is as deep as there are atoms, and
+    its ``sum`` adds left to right, as the walk does, up to Python 3.11
+    (from 3.12 on the builtin compensates floats)."""
+    atoms = llr_atoms(model)
+    k = len(atoms)
+    values = atoms.values
+    log_p = np.log(atoms.p_probs)
+    target = d * tau_count
+    total = 0.0
+
+    counts = [0] * k
+
+    def rec(pos: int, remaining: int, value_acc: float, log_prob_acc: float):
+        nonlocal total
+        if pos == k - 1:
+            value = value_acc + remaining * values[pos]
+            if value >= target:
+                log_coef = (
+                    math.lgamma(d + 1)
+                    - sum(math.lgamma(c + 1) for c in counts[: k - 1])
+                    - math.lgamma(remaining + 1)
+                )
+                total += math.exp(log_coef + log_prob_acc + remaining * log_p[pos])
+            return
+        for c in range(remaining + 1):
+            counts[pos] = c
+            rec(pos + 1, remaining - c, value_acc + c * values[pos], log_prob_acc + c * log_p[pos])
+        counts[pos] = 0
+
+    rec(0, d, 0.0, 0.0)
+    return min(1.0, total)
 
 
 # ---------------------------------------------------------------------------

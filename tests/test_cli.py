@@ -24,6 +24,8 @@ from dbdetect.errors import DetectionError, InvariantViolationError, ValidationE
 from dbdetect.exponents import kl_divergences
 from dbdetect.models import GaussianModel, sample_alt
 
+from helpers import random_discrete_model
+
 GAUSS_MODEL = "kind = gaussian\nrho = 0.6\n"
 DIAG_MODEL = "kind = discrete\nalphabet_size = 2\njoint = 0.4 0.1 0.1 0.4\n"
 BERN_MODEL = "kind = bernoulli\ntau = 0.5\np = 0.5\n"
@@ -576,7 +578,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "case",
         ["missing-model", "missing-plan", "missing-x", "unwritable-out",
-         "bad-cell", "bad-thetas", "bad-theta-points", "zero-threads"],
+         "bad-cell", "bad-thetas", "bad-theta-points", "zero-threads",
+         "bounds-n-zero", "bounds-n-negative", "pd-samples-plan",
+         "pd-samples-risk", "pd-samples-detect"],
     )
     def test_bad_input_is_one_error_line(self, model_file, tmp_path, capsys, case):
         model_path = model_file(GAUSS_MODEL)
@@ -587,6 +591,10 @@ class TestExitCodes:
         write_matrix_csv(str(tmp_path / "Y.csv"), pair.y)
         bad_x = tmp_path / "bad.csv"
         bad_x.write_text("n,d\n1,2\n\n0.5,abc\n")
+        zero_samples_plan = tmp_path / "zero-samples.txt"
+        zero_samples_plan.write_text(
+            PLAN_TEXT.replace("pd_samples = 4000", "pd_samples = 0")
+        )
         detect = ["detect", "--model", model_path, "--y", tmp_path / "Y.csv",
                   "--detector", "sum"]
         args, expected = {
@@ -605,11 +613,64 @@ class TestExitCodes:
                                   "--theta-points", -3], "--theta-points"),
             "zero-threads": (["risk", "--plan", plan_path, "--threads", 0],
                              "threads must be >= 1"),
+            "bounds-n-zero": (["bounds", "--model", model_path, "--n", 0, "--d", 2],
+                              "n and d must be >= 1"),
+            "bounds-n-negative": (["bounds", "--model", model_path, "--n", -3,
+                                   "--d", 2], "n and d must be >= 1"),
+            "pd-samples-plan": (["risk", "--plan", zero_samples_plan],
+                                "pd_samples must be >= 1"),
+            "pd-samples-risk": (["risk", "--plan", plan_path, "--detector", "sum",
+                                 "--pd-samples", 0], "pd_samples must be >= 1"),
+            "pd-samples-detect": ([*detect, "--x", tmp_path / "X.csv", "--detector",
+                                   "count", "--tau-count", "half-kl", "--seed", 1,
+                                   "--pd-samples", 0], "pd_samples must be >= 1"),
         }[case]
         assert run_cli(*args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert expected in err and "Traceback" not in err
+
+
+def run_subprocess(script: str, *args):
+    """Run ``python -c script *args`` on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_count_on_a_wide_law_exits_cleanly(tmp_path):
+    """A 46-symbol law has 1,081 LLR atoms.  ``detect --detector count``
+    runs at d = 1, and at d = 2 (2.1e8 partial compositions) exits 2 with one
+    ``capacity error:`` line, run as a process so nothing catches a raw
+    traceback."""
+    joint = random_discrete_model(np.random.default_rng(46), 46).joint
+    model = tmp_path / "wide.txt"
+    model.write_text(
+        "kind = discrete\nalphabet_size = 46\n"
+        f"joint = {' '.join(repr(float(v)) for v in joint.ravel())}\n"
+    )
+    for d, code in ((1, 0), (2, 2)):
+        pair = sample_alt(load_model(str(model)), 5, d, seed=d)
+        write_matrix_csv(str(tmp_path / f"X{d}.csv"), pair.x)
+        write_matrix_csv(str(tmp_path / f"Y{d}.csv"), pair.y)
+        result = run_subprocess(
+            "import sys; from dbdetect.cli import main; sys.exit(main(sys.argv[1:]))",
+            "detect", "--model", model, "--x", tmp_path / f"X{d}.csv",
+            "--y", tmp_path / f"Y{d}.csv", "--detector", "count",
+            "--tau-count", "half-kl",
+        )
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        if code == 0:
+            (verdict,) = json.loads(result.stdout)
+            assert verdict["detector"] == "count"
+        else:
+            assert result.stderr.startswith("capacity error: ")
+            assert result.stderr.count("\n") == 1
 
 
 def test_package_runs_without_scipy(tmp_path):
@@ -630,10 +691,5 @@ assert main(["risk", "--plan", {str(plan)!r}, "--trials", "4"]) == 0
 assert not any(name.split(".")[0] == "scipy" for name in sys.modules
                if sys.modules[name] is not None)
 """
-    src = os.path.dirname(os.path.dirname(experiments.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
+    result = run_subprocess(script)
     assert result.returncode == 0, result.stderr

@@ -12,6 +12,7 @@ from dbdetect.detectors import (
     CountPlans,
     CountTestPlan,
     PairCache,
+    _exact_pd,
     _log_permanent_ratio,
     _monte_carlo_pd,
     count_test,
@@ -22,7 +23,12 @@ from dbdetect.detectors import (
 )
 from dbdetect.errors import CapacityError, DegenerateModelError, ValidationError
 from dbdetect.experiments import TrialPlan, estimate_risk
-from dbdetect.exponents import centered_kernel, kl_divergences, var_q_centered_kernel
+from dbdetect.exponents import (
+    centered_kernel,
+    kl_divergences,
+    llr_atoms,
+    var_q_centered_kernel,
+)
 from dbdetect.models import (
     DatabasePair,
     GaussianModel,
@@ -43,8 +49,18 @@ from helpers import (
     independent_model,
     permutation_log_statistic,
     random_discrete_model,
+    recursive_exact_pd,
     sum_test_exact_risk,
 )
+
+
+def oracle_laws():
+    """Three Bernoulli laws and four random 2x2 and 3x3 laws (3 and 6 LLR
+    atoms), and a random 4x4 law (10 atoms)."""
+    rng = np.random.default_rng(15)
+    laws = [make_bernoulli(0.6, 0.3), make_bernoulli(0.55, 0.35), bern55()]
+    laws += [random_discrete_model(rng, m) for m in (2, 2, 3, 3)]
+    return laws + [random_discrete_model(rng, 4)]
 
 
 def pair_of(x, y, sigma=None):
@@ -220,6 +236,41 @@ class TestCountPlan:
         with pytest.raises(CapacityError):
             make_count_plan(model, d=64, tau_count=0.0)
 
+    @pytest.mark.parametrize("law", range(8))
+    def test_walk_equals_recursive_oracle(self, law):
+        """The walk over atoms returns the recursion's pd to the bit, at
+        levels inside, at the edges of and beyond the LLR range, wherever
+        the recursion ran before (at most 2e6 compositions; the 4x4 law to
+        d = 12).  Past 10^5 compositions only the half-KL level is run, to
+        keep the recursion's time down."""
+        model = oracle_laws()[law]
+        k = len(llr_atoms(model))
+        div = kl_divergences(model)
+        taus = (0.5 * div.kl_pq, 0.0, div.kl_pq, -div.kl_qp, 0.3 * div.kl_pq, 1e3, -1e3)
+        ds = (1, 2, 3, 5, 10, 12) if k == 10 else (1, 2, 3, 5, 10, 37, 100)
+        for d in ds:
+            compositions = math.comb(d + k - 1, k - 1)
+            if compositions > 2_000_000:
+                continue
+            for tau in taus if compositions <= 10**5 else taus[:1]:
+                assert _exact_pd(model, d, tau) == recursive_exact_pd(model, d, tau)
+
+    def test_walk_equals_recursive_oracle_at_lattice_ties(self):
+        """At tau = fl(C / d) for every composition's LLR sum C, where d * tau
+        lands on C or beside it, both walks count the same compositions."""
+        model = make_bernoulli(0.6, 0.3)
+        values = llr_atoms(model).values
+        d = 10
+        sums = [
+            0.0 + c0 * values[0] + c1 * values[1] + (d - c0 - c1) * values[2]
+            for c0 in range(d + 1)
+            for c1 in range(d + 1 - c0)
+        ]
+        assert any(d * (c / d) != c for c in sums)
+        for c in sums:
+            tau = c / d
+            assert _exact_pd(model, d, tau) == recursive_exact_pd(model, d, tau)
+
     def test_exact_pd_matches_direct_simulation(self):
         """Dual route: the convolution tail agrees with simulating the
         matched-pair law directly."""
@@ -242,7 +293,7 @@ class TestMonteCarloPdKernel:
     @pytest.mark.parametrize("d", [1, 10, 100, 333])
     @pytest.mark.parametrize("rho", [0.25, 0.75, -0.5])
     def test_equals_full_chunk_expression(self, rho, d):
-        """The blockwise z draws and in-place arithmetic reproduce the
+        """The blockwise z draws and per-block arithmetic reproduce the
         whole-chunk expression exactly; 100_001 samples end on a partial
         chunk for d >= 100."""
         model = gauss(rho)

@@ -24,7 +24,7 @@ from dbdetect.experiments import (
 from dbdetect.config import write_matrix_csv
 from dbdetect.models import make_bernoulli, sample_alt, sample_alt_rng, sample_null_rng
 from dbdetect.spectral import (
-    MOMENT_MAX_N,
+    MOMENT_MAX_WORK,
     eigenvalues,
     gaussian_profile,
     poisson_moment_bound,
@@ -736,8 +736,11 @@ class TestBoundReport:
         assert "second_moment_note" not in report
 
     def test_moment_capacity_guard(self):
+        # rho = 0.2 keeps 19 eigenvalues, so n = 20,000 needs 4.0e8 steps
+        n = 20_000
+        assert n * (n + gaussian_profile(0.2).eigenvalues.size) > MOMENT_MAX_WORK
         with pytest.raises(CapacityError):
-            bound_report(gauss(0.2), n=MOMENT_MAX_N + 1, d=3)
+            bound_report(gauss(0.2), n=n, d=3)
 
     def test_independent_model_notes(self):
         report = bound_report(independent_model(), n=5, d=2)
