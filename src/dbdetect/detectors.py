@@ -121,9 +121,10 @@ class PreparedDetector:
     constants, and the threshold.
 
     ``evaluate(pair, cache)`` returns the statistic of a pair drawn by the
-    risk harness, trusting its data, and the decision is ``statistic >=
-    cut`` (ties decide "dependent").  ``threshold`` is the threshold as
-    verdicts and risk rows report it.  ``verdict(pair, cache)`` checks the
+    risk harness, trusting its data (the scan test evaluates a stack of
+    pairs instead, see :class:`PreparedGlrt`), and the decision is
+    ``statistic >= cut`` (ties decide "dependent").  ``threshold`` is the
+    threshold as verdicts and risk rows report it.  ``verdict(pair, cache)`` checks the
     pair's data and returns the public detector's :class:`Verdict`.  A
     threshold that needs work of its own (the count test's ``pd``) is
     ``None`` until ``settle()`` computes it."""
@@ -164,24 +165,28 @@ class PreparedDetector:
 class PreparedGlrt(PreparedDetector):
     """Scan test: the maximum row-matching log-likelihood ratio over all
     permutations (a maximum-weight assignment on the all-pairs LLR matrix),
-    divided by d*n."""
+    divided by d*n.
+
+    The risk harness does not evaluate it pair by pair: it collects the LLR
+    matrices of a block of trials and calls ``evaluate_stack`` once, which
+    solves them all as one stack."""
 
     name = "glrt"
 
     def __init__(self, model: JointModel, n: int, d: int, tau: float = 0.0):
         _require_usable(model, "glrt")
         self.model = model
+        self.scale = d * n
         self.threshold = self.cut = require_number(tau, "tau")
 
-    def _solve(self, pair: DatabasePair, cache: PairCache):
-        sigma, value = solve_max(cache.llr())
-        return sigma, value / (pair.d * pair.n)
-
-    def evaluate(self, pair, cache):
-        return self._solve(pair, cache)[1]
+    def evaluate_stack(self, llr: np.ndarray) -> np.ndarray:
+        """The statistics of a ``(..., n, n)`` stack of pair LLR matrices,
+        each equal to the statistic of its pair alone."""
+        return solve_max(llr)[1] / self.scale
 
     def measure(self, pair, cache):
-        sigma, statistic = self._solve(pair, cache)
+        sigma, value = solve_max(cache.llr())
+        statistic = value / (pair.d * pair.n)
         return statistic, float(statistic), {"sigma": sigma}
 
 

@@ -4,8 +4,10 @@ total-variation oracle on tiny instances, and the consolidated bound report.
 The harness draws the hidden permutation uniformly per dependent trial, so it
 estimates the average risk; every detector in this package is invariant to
 row reordering, which makes average and worst-case Type-II errors coincide.
-Trials are independent work units keyed by (seed, hypothesis, point, trial),
-so results are bit-identical across thread counts and across runs.
+Each trial draws its pairs from substreams keyed by (seed, hypothesis,
+point, trial), and trials run in contiguous blocks whose scan-test
+assignments are solved as one stack, each exactly as if alone; so results
+are bit-identical across block sizes, thread counts and runs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import ctypes
 import functools
 import itertools
 import math
+import mmap
 import numbers
 import os
 import threading
@@ -62,10 +65,16 @@ from .models import (
     sample_null_rng,
 )
 
-# exact_tv_small's time guards: the number of ordered (x, y) database pairs,
-# and n for its subset DP over the 2^n column sets
-ENUM_STATE_CAP = 1 << 24
-ENUM_FACTORIAL_CAP = 8
+# exact_tv_small's time guard, in units of one product of its subset DP (2.3-5.2
+# ns on a 2-vCPU machine).  The DP makes n 2^(n-1) products for each of the
+# C(m^d + n - 1, n)^2 pairs of row multisets, as one array operation per
+# block of x-states, and an operation costs about TV_CALL_WORK products of
+# interpreter time besides (1.4-2.6 us at n = 14, d = 1).  Each block first
+# builds its rows' joint probabilities against all m^d rows, feature by
+# feature, at about TV_ROW_WORK products an entry (7.4 ns at n = 1, d = 14).
+TV_MAX_WORK = 10**9
+TV_CALL_WORK = 1_000
+TV_ROW_WORK = 3
 # scratch budget of one block of x-states in exact_tv_small; every product of
 # the subset DP touches all of it, so it is sized like a core's L2 cache
 TV_BLOCK_BYTES = 1 << 22
@@ -188,10 +197,12 @@ def thread_count(override: Optional[int] = None) -> int:
 
 
 # Detectors whose trials hold the interpreter lock: the assignment solver's
-# row scan and the permanent's subset DP are many small numpy calls.  Seconds
-# per point, 1 worker / 2 workers: glrt (Gaussian, d=10) n=100, 16 trials
-# 0.24/0.32, n=300, 4 trials 0.45/0.47; np-oracle+glrt (Bernoulli, n=8,
-# d=10, 50 trials) 0.10/0.13.
+# sweeps and the permanent's subset DP are many small numpy calls.  Seconds
+# per point, 1 worker / 2 workers (median of 5, 2-vCPU machine, numpy
+# 2.4.6): glrt (Gaussian, d=10) n=100, 16 trials 0.10/0.25, n=300, 4 trials
+# 0.30/1.37; np-oracle+glrt (Bernoulli, n=8, d=10, 50 trials) 0.07/0.10.
+# Two workers also split a point's scan-test stack into blocks of 1-2
+# trials, which the lockstep solver runs slower than one stack.
 GIL_BOUND_DETECTORS = ("glrt", "np-oracle")
 # A trial's work outside the interpreter lock grows with the n x d databases
 # it draws and, for the count test, with the n x n x d LLR matrix product.
@@ -212,6 +223,14 @@ GIL_BOUND_DETECTORS = ("glrt", "np-oracle")
 #   n=1000  10.9/5.56  4.05/2.07  1.58/0.90  1.19/0.67
 POOL_MIN_ND = 5_000
 POOL_MIN_COUNT_NND = 150_000
+# trial blocks per worker of a pooled point, so that no worker idles long
+# at the end
+BLOCKS_PER_WORKER = 4
+# bytes of one block's stack of scan-test LLR matrices, (trials, 2, n, n)
+# float64, which is solved in one call: a stack of 4 matrices solves about
+# as fast as a loop over them, one of 16 up to 2.4x faster (README,
+# "Assignment solver")
+GLRT_STACK_BYTES = 1 << 25
 
 
 def point_workers(plan: TrialPlan, n: int, d: int, threads: int) -> int:
@@ -291,6 +310,26 @@ def _one_blas_thread(active: bool):
                 set_threads(_BlasPin.saved)
 
 
+def _trial_blocks(trials: int, workers: int, cap: int) -> list[range]:
+    """Contiguous blocks of trial indices: one block on one worker, else
+    ``BLOCKS_PER_WORKER`` per worker, none longer than ``cap`` trials."""
+    count = 1 if workers == 1 else workers * BLOCKS_PER_WORKER
+    size = max(1, min(-(-trials // count), cap))
+    return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+
+def _mapped_stack(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape`` in an anonymous memory map
+    of its own.  The allocator's heap then never holds it, and its pages go
+    back to the system when it is freed.  Allocated on the heap, the 1.3 MB
+    stacks of the benchmark's ``mc-scan`` points, each freed amid the small
+    arrays of a solve, left about 2 MB of free but untrimmed heap behind:
+    peak RSS 44.4 MB over 60 rounds, against 42.3 MB mapped."""
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, 8 * count))
+    return np.frombuffer(buffer, dtype=np.float64, count=count).reshape(shape)
+
+
 def _point_records(
     model: JointModel,
     n: int,
@@ -303,39 +342,57 @@ def _point_records(
     """The prepared detectors of one risk point, thresholds settled, and
     its decisions ``[hypothesis, detector, trial]``.
 
-    Each trial records every detector's statistic on its two pairs.  A
-    threshold that needs work of its own (the count test's pd plan, a
-    Monte-Carlo estimate for Gaussian models) is settled by the first work
-    units of the same pool as the trials, so it runs while they do, and the
-    decisions ``statistic >= cut`` are taken once all units are in.  A plan
-    that fails, or whose pd makes the threshold vacuous, raises before any
-    trial's error.  The pool has :func:`point_workers` threads, and while it
-    has more than one, OpenBLAS is held to one thread."""
+    The work units are contiguous blocks of trials (see
+    :func:`_trial_blocks`).  A block draws each trial's two pairs from the
+    trial's own substreams and records the statistics of every detector but
+    the scan test at once.  Of the scan test it keeps each pair's LLR matrix
+    in one ``(trials, 2, n, n)`` stack, of at most ``GLRT_STACK_BYTES``,
+    which it solves as one stack once its trials are drawn; it holds no
+    other pair or cache of past trials.  A threshold that needs work of its
+    own (the count test's pd plan, a Monte-Carlo estimate for Gaussian
+    models) is settled by the first work units of the same pool as the
+    blocks, so it runs while they do, and the decisions ``statistic >= cut``
+    are taken once all units are in.  A plan that fails, or whose pd makes
+    the threshold vacuous, raises before any trial's error.  The pool has
+    :func:`point_workers` threads, and while it has more than one, OpenBLAS
+    is held to one thread.  Neither the blocks nor the workers change a
+    statistic: every trial's pairs and records are those it has alone."""
     detectors = prepare(model, n, d, plan, plans)
     pending = [det for det in dict.fromkeys(detectors) if det.cut is None]
+    scan = next((det for det in detectors if isinstance(det, PreparedGlrt)), None)
     k = len(detectors)
 
     def run_unit(unit):
         if isinstance(unit, PreparedDetector):
             return unit.settle()
-        rng0 = rngmod.substream(plan.seed, rngmod.RISK_NULL, point_index, unit)
-        pair0 = sample_null_rng(model, n, d, rng0)
-        rng1 = rngmod.substream(plan.seed, rngmod.RISK_ALT, point_index, unit)
-        pair1 = sample_alt_rng(model, n, d, rng1)
-        pairs = (pair0, pair1)
-        caches = (PairCache(model, pair0), PairCache(model, pair1))
-        record = np.empty((2, k))  # [hypothesis, detector]: the statistic
-        for idx, det in enumerate(detectors):
-            for h in (0, 1):
-                record[h, idx] = det.evaluate(pairs[h], caches[h])
-        return record
+        records = np.empty((len(unit), 2, k))  # [trial, hypothesis, detector]
+        llr = None if scan is None else _mapped_stack((len(unit), 2, n, n))
+        for t, trial in enumerate(unit):
+            rng0 = rngmod.substream(plan.seed, rngmod.RISK_NULL, point_index, trial)
+            pair0 = sample_null_rng(model, n, d, rng0)
+            rng1 = rngmod.substream(plan.seed, rngmod.RISK_ALT, point_index, trial)
+            pair1 = sample_alt_rng(model, n, d, rng1)
+            pairs = (pair0, pair1)
+            caches = (PairCache(model, pair0), PairCache(model, pair1))
+            for idx, det in enumerate(detectors):
+                for h in (0, 1):
+                    if det is scan:
+                        llr[t, h] = caches[h].llr()
+                    else:
+                        records[t, h, idx] = det.evaluate(pairs[h], caches[h])
+        if scan is not None:
+            cols = [idx for idx, det in enumerate(detectors) if det is scan]
+            records[:, :, cols] = scan.evaluate_stack(llr)[:, :, None]
+        return records
 
     workers = point_workers(plan, n, d, threads)
+    cap = plan.trials if scan is None else GLRT_STACK_BYTES // (16 * n * n)
+    units = pending + _trial_blocks(plan.trials, workers, cap)
     with _one_blas_thread(workers > 1), ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_unit, pending + list(range(plan.trials))))
-    records = np.stack(results[len(pending) :], axis=-1)
+        results = list(pool.map(run_unit, units))
+    records = np.concatenate(results[len(pending) :])
     cuts = np.array([det.cut for det in detectors])
-    return detectors, records >= cuts[:, None]
+    return detectors, np.moveaxis(records, 0, -1) >= cuts[:, None]
 
 
 def _run_point(
@@ -512,17 +569,18 @@ def exact_tv_small(model: DiscreteJointModel, n: int, d: int) -> tuple[float, fl
     subset DP over column sets for all (x, y) state pairs of a block at once.
     The sum is accumulated over blocks of x-states sized to
     ``TV_BLOCK_BYTES``, so peak memory does not grow with the square of the
-    state count.  Guarded by ``ENUM_STATE_CAP`` ordered database pairs
-    m^(2nd) and by n <= ``ENUM_FACTORIAL_CAP``."""
+    state count.  A run whose work (see :func:`_tv_work`) exceeds
+    ``TV_MAX_WORK`` raises ``CapacityError`` before any table is built."""
     if not isinstance(model, DiscreteJointModel):
         raise ValidationError("exact_tv_small enumerates discrete models only")
     if n < 1 or d < 1:
         raise ValidationError(f"n and d must be >= 1, got n={n}, d={d}")
     m = model.alphabet_size
-    if m ** (2 * n * d) > ENUM_STATE_CAP or n > ENUM_FACTORIAL_CAP:
+    work = _tv_work(m, n, d)
+    if work > TV_MAX_WORK:
         raise CapacityError(
-            f"exact enumeration needs m^(2nd) <= {ENUM_STATE_CAP} and "
-            f"n <= {ENUM_FACTORIAL_CAP}; got m={m}, n={n}, d={d}"
+            f"exact enumeration needs at most {TV_MAX_WORK} units of work "
+            f"(subset-DP products); got {work:.3g} for m={m}, n={n}, d={d}"
         )
     row_symbols, states, orders = _enumeration_tables(model, n, d)
     row_q = np.prod(model.marginal[row_symbols], axis=1)
@@ -544,6 +602,22 @@ def exact_tv_small(model: DiscreteJointModel, n: int, d: int) -> tuple[float, fl
         total += float(orders[lo : lo + block] @ diff @ orders)
     tv = 0.5 * total
     return tv, 1.0 - tv
+
+
+def _tv_work(m: int, n: int, d: int) -> float:
+    """The work of exact_tv_small in products (see ``TV_MAX_WORK``), for S =
+    C(m^d + n - 1, n) row multisets in B blocks: n 2^(n-1) (S^2 +
+    TV_CALL_WORK B) for the subset DP and TV_ROW_WORK n d S m^d for the
+    kernel rows.  It is inf where n 2^(n-1) or m^(2d), each a lower bound on
+    it, alone exceeds ``TV_MAX_WORK``, so no huge integer is ever formed."""
+    log2_budget = math.log2(TV_MAX_WORK)
+    if n - 1 + math.log2(n) > log2_budget or 2 * d * math.log2(m) > log2_budget:
+        return math.inf
+    rows = m**d
+    states = math.comb(rows + n - 1, n)
+    blocks = -(-states // _tv_block_rows(states, n))
+    dp = n * 2 ** (n - 1) * (states**2 + TV_CALL_WORK * blocks)
+    return dp + TV_ROW_WORK * n * d * states * rows
 
 
 def _block_permanents(kernel_rows, states: np.ndarray, bufs: np.ndarray) -> np.ndarray:

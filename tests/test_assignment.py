@@ -1,5 +1,6 @@
 """Assignment solver: exactness against brute force and scipy, and the exact
-assignment of the scalar shortest-augmenting-path loop, ties included."""
+assignment of the scalar shortest-augmenting-path loop, ties included, for
+one matrix and for each matrix of a stack."""
 
 import numpy as np
 import pytest
@@ -84,11 +85,82 @@ def test_row_to_col_equals_scalar_loop_on_bernoulli_llr(n, d):
             np.testing.assert_array_equal(sigma, scalar_sap_min_assignment(-c))
 
 
+def assert_stack_equals_scalar_loop(stack):
+    """Each matrix of the stack gets the scalar loop's map, the same map as
+    when solved alone, and the value of that map summed in row order, bit
+    for bit."""
+    sigma, values = solve_max(stack)
+    lead, n = stack.shape[:-2], stack.shape[-1]
+    assert sigma.shape == lead + (n,)
+    assert values.shape == lead
+    for idx in np.ndindex(lead):
+        expected = scalar_sap_min_assignment(-stack[idx])
+        np.testing.assert_array_equal(sigma[idx], expected)
+        np.testing.assert_array_equal(solve_max(stack[idx])[0], expected)
+        assert values[idx] == stack[idx][np.arange(n), expected].sum()
+
+
+@pytest.mark.parametrize("n", [2, 5, 12, 31, 60])
+def test_stack_of_mixed_kinds_equals_scalar_loop(n):
+    """The three kinds in one stack: the tie-heavy ones take other numbers of
+    Dijkstra steps than the normal ones, so problems finish their rows and
+    leave the working set on different sweeps."""
+    rng = np.random.default_rng(100 + n)
+    kinds = list(MATRICES.values())
+    stack = np.stack([kinds[i % 3](rng, n) for i in range(7)])
+    assert_stack_equals_scalar_loop(stack)
+
+
+@pytest.mark.parametrize("n,d", [(8, 10), (20, 3), (60, 100)])
+def test_stack_of_bernoulli_llr_equals_scalar_loop(n, d):
+    model = make_bernoulli(0.6, 0.3)
+    stack = np.stack([
+        pair_llr_matrix(model, pair.x, pair.y)
+        for seed in range(4)
+        for pair in (sample_null(model, n, d, seed), sample_alt(model, n, d, seed))
+    ])
+    assert_stack_equals_scalar_loop(stack)
+
+
+@pytest.mark.parametrize("kind", MATRICES)
+def test_stack_of_one_and_one_by_one(kind):
+    rng = np.random.default_rng(5)
+    for n in (1, 9):
+        assert_stack_equals_scalar_loop(MATRICES[kind](rng, n)[None])
+    ones = np.stack([MATRICES[kind](rng, 1) for _ in range(5)])
+    assert_stack_equals_scalar_loop(ones)
+
+
+def test_lead_shape_is_kept():
+    rng = np.random.default_rng(6)
+    kinds = list(MATRICES.values())
+    stack = np.stack([kinds[i % 3](rng, 11) for i in range(6)]).reshape(2, 3, 11, 11)
+    assert_stack_equals_scalar_loop(stack)
+
+
+def test_single_matrix_returns_a_float():
+    sigma, value = solve_max(np.array([[2.0, 5.0], [4.0, 1.0]]))
+    assert isinstance(value, float)
+    assert sigma.shape == (2,)
+
+
 def test_validation():
     with pytest.raises(ValidationError):
         solve_max(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
+        solve_max(np.zeros((4, 2, 3)))
+    with pytest.raises(ValidationError):
+        solve_max(np.zeros(3))
+    with pytest.raises(ValidationError):
         solve_max(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_in_one_matrix_of_a_stack(bad):
+    stack = np.random.default_rng(7).normal(size=(5, 4, 4))
+    stack[3, 2, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        solve_max(stack)
 
 
 def test_backend_reported():

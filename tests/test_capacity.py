@@ -35,8 +35,10 @@ GUARDED = {
     ),
     # 2.76e8 eigenvalues, 2.2 GB
     "gaussian-profile": lambda: functools.partial(gaussian_profile, 1.0 - 1e-7),
-    "exact-tv-states": lambda: functools.partial(exact_tv_small, diag_model(), 4, 4),
-    "exact-tv-n": lambda: functools.partial(exact_tv_small, diag_model(), 9, 1),
+    # C(66, 3)^2 = 2.1e9 pairs of row multisets
+    "exact-tv-states": lambda: functools.partial(exact_tv_small, diag_model(), 3, 6),
+    # 17 blocks of n 2^(n-1) = 5.2e5 DP steps each
+    "exact-tv-n": lambda: functools.partial(exact_tv_small, diag_model(), 16, 1),
     "np-oracle": lambda: functools.partial(
         PreparedNpOracle, diag_model(), NP_ORACLE_MAX_N + 1, 1
     ),

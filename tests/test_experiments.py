@@ -225,6 +225,34 @@ class TestDeferredCountDecisions:
         outputs = {estimates_to_csv(estimate_risk(plan, threads=t)) for t in (1, 2, 8)}
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            TrialPlan(
+                model=make_bernoulli(0.6, 0.3), n=12, d=20, trials=30, seed=8,
+                detectors=("glrt", "count"), tau_count="half-kl",
+            ),
+            TrialPlan(
+                model=make_bernoulli(0.7, 0.4), n=7, d=6, trials=25, seed=9,
+                detectors=("np-oracle", "glrt"),
+            ),
+        ],
+        ids=["bernoulli-glrt-count", "np-oracle-glrt"],
+    )
+    def test_blocks_are_invisible_in_the_output(
+        self, plan, threads, monkeypatch, recording_pool
+    ):
+        """A stack budget below one trial's matrices makes every trial a
+        block of its own, with a stack of two: the CSV bytes are those of
+        the default, where the point is one block."""
+        default = estimates_to_csv(estimate_risk(plan, threads=threads))
+        monkeypatch.setattr(experiments, "GLRT_STACK_BYTES", 1)
+        assert estimates_to_csv(estimate_risk(plan, threads=threads)) == default
+        units = [len(results) for results in recording_pool["results"]]
+        pending = int("count" in plan.detectors)
+        assert units == [1 + pending, plan.trials + pending]
+
     def test_count_threshold_and_statistic_match_count_test(self):
         """The harness's count row equals deciding each trial's pairs with
         ``count_test`` itself."""
@@ -502,13 +530,18 @@ class TestWorkers:
 
     def test_pooled_records_equal_across_threads(self, recording_pool):
         """The per-trial records (decisions and count statistics) and the
-        count threshold are the same on 1, 2 and 8 workers."""
+        count threshold are the same on 1, 2 and 8 workers; each point's
+        blocks of trials, concatenated, hold every trial once, in order."""
         plan = pool_plan()
         for threads in (1, 2, 8):
             estimate_risk(plan, threads=threads)
         assert recording_pool["workers"] == [1, 2, 8]
         thresholds = [results[0] for results in recording_pool["results"]]
-        records = [np.stack(results[1:]) for results in recording_pool["results"]]
+        blocks = [len(results) - 1 for results in recording_pool["results"]]
+        assert blocks[0] == 1 and blocks[1] > 2 and blocks[2] > 8
+        records = [
+            np.concatenate(results[1:]) for results in recording_pool["results"]
+        ]
         assert thresholds[0] == thresholds[1] == thresholds[2]
         assert records[0].shape == (plan.trials, 2, 2)
         assert np.array_equal(records[0], records[1])
@@ -682,10 +715,27 @@ class TestExactTV:
             assert bayes >= floor - 1e-9
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            exact_tv_small(diag_model(), 9, 1)
-        with pytest.raises(CapacityError):
-            exact_tv_small(diag_model(), 4, 4)
+        """Refused over the work budget, by pairs of row multisets (n=3,
+        d=6), by DP steps per block (n=16, d=1) and by kernel rows (n=1,
+        d=13); runs of about a second at n=6, d=3 and n=4, d=4 are within
+        it."""
+        for n, d in ((3, 6), (16, 1), (1, 13)):
+            assert experiments._tv_work(2, n, d) > experiments.TV_MAX_WORK
+            with pytest.raises(CapacityError):
+                exact_tv_small(diag_model(), n, d)
+        for n, d in ((6, 3), (4, 4), (14, 1), (1, 12)):
+            assert experiments._tv_work(2, n, d) <= experiments.TV_MAX_WORK
+
+    def test_oracle_risk_is_the_optimal_risk_at_fixed_d(self):
+        """In the paper's fixed-d regime, n=6 and d=3: the mixture oracle's
+        Monte-Carlo risk is within 3 sigma of the exact optimal risk 1 - TV."""
+        model = make_bernoulli(0.6, 0.3)
+        _, bayes = exact_tv_small(model, 6, 3)
+        plan = TrialPlan(
+            model=model, n=6, d=3, trials=4000, seed=63, detectors=("np-oracle",)
+        )
+        (oracle,) = estimate_risk(plan)
+        assert abs(oracle.risk - bayes) <= 3.0 * oracle.stderr
 
     @pytest.mark.parametrize(
         "n,d", [(1, 1), (1, 4), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)]
