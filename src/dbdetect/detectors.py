@@ -28,11 +28,25 @@ from .models import (
     pair_llr_matrix,
 )
 
-# the mixture oracle's subset DP costs O(2^n n): about 0.8 s and 60 MB at n = 20
-# on a 2-vCPU machine
+# the mixture oracle's subset DP costs O(2^n n) a matrix: 0.52-0.53 s and 42 MB
+# of peak RSS above an idle process for one matrix at n = 20 (27-28 ms at
+# n = 16) on a 2-vCPU machine
 NP_ORACLE_MAX_N = 20
-# per-level mask chunk of that DP, which bounds its scratch arrays
+# column sets per chunk of a level of that DP, which bounds the scratch of a
+# matrix solved alone: at most _PERMANENT_SCRATCH_ARRAYS arrays of 8-byte
+# entries, one per column set and set bit (5.05 arrays of n _PERMANENT_CHUNK
+# entries traced at n = 20)
 _PERMANENT_CHUNK = 1 << 14
+_PERMANENT_SCRATCH_ARRAYS = 6
+# bytes of the DP's arrays for a sub-stack of B > 1 matrices: B (16 2^n +
+# 24 n^2 + 64) of tables, row terms and final logs, 9 2^n of level index, and
+# the scratch of a whole level.  Larger sub-stacks save little interpreter
+# time and grow the working set: 100 matrices at n = 8 took 3.1 ms in one
+# sub-stack, 3.9 ms in sub-stacks of 27 (this budget) and 7.1 ms in ones of
+# 6, and one sub-stack of 100 raised the peak RSS of the benchmark's exact
+# workload by 2 MB (4.5 %).  A matrix whose arrays alone exceed it, from
+# n = 12 on, is a stack of one
+_PERMANENT_STACK_BYTES = 1 << 19
 # weights below 2^-(2^40) of their row maximum are held at that floor
 _PERMANENT_MIN_EXP = -(2.0**40)
 # entries per block of the Monte-Carlo pd kernel's z draws and arithmetic
@@ -121,18 +135,23 @@ class PreparedDetector:
     constants, and the threshold.
 
     ``evaluate(pair, cache)`` returns the statistic of a pair drawn by the
-    risk harness, trusting its data (the scan test evaluates a stack of
-    pairs instead, see :class:`PreparedGlrt`), and the decision is
-    ``statistic >= cut`` (ties decide "dependent").  ``threshold`` is the
-    threshold as verdicts and risk rows report it.  ``verdict(pair, cache)`` checks the
-    pair's data and returns the public detector's :class:`Verdict`.  A
-    threshold that needs work of its own (the count test's ``pd``) is
-    ``None`` until ``settle()`` computes it."""
+    risk harness, trusting its data, and the decision is ``statistic >=
+    cut`` (ties decide "dependent").  A *stacked* detector (the scan test
+    and the mixture oracle) is evaluated a block of trials at a time
+    instead: ``evaluate_stack(llr)`` takes the block's ``(trials, 2, n, n)``
+    stack of pair LLR matrices, which all the stacked detectors of a point
+    share, and returns the ``(trials, 2)`` statistics, each that of its pair
+    alone.  ``threshold`` is the threshold as verdicts and risk rows report
+    it.  ``verdict(pair, cache)`` checks the pair's data and returns the
+    public detector's :class:`Verdict`.  A threshold that needs work of its
+    own (the count test's ``pd``) is ``None`` until ``settle()`` computes
+    it."""
 
     name: str
     model: JointModel
     cut: Optional[float]
     threshold: Optional[float]
+    stacked = False
 
     def settle(self) -> float:
         return self.cut
@@ -167,11 +186,12 @@ class PreparedGlrt(PreparedDetector):
     permutations (a maximum-weight assignment on the all-pairs LLR matrix),
     divided by d*n.
 
-    The risk harness does not evaluate it pair by pair: it collects the LLR
-    matrices of a block of trials and calls ``evaluate_stack`` once, which
-    solves them all as one stack."""
+    The risk harness does not evaluate it pair by pair: ``evaluate_stack``
+    solves the assignments of the block's shared LLR stack in one
+    ``solve_max`` call."""
 
     name = "glrt"
+    stacked = True
 
     def __init__(self, model: JointModel, n: int, d: int, tau: float = 0.0):
         _require_usable(model, "glrt")
@@ -308,9 +328,13 @@ class PreparedNpOracle(PreparedDetector):
     """Exact mixture-likelihood test: average the row-matching likelihood
     ratio over all n! permutations, perm(exp C) / n! for the all-pairs LLR
     matrix C, and threshold at 1 (ties decide "dependent").  The statistic
-    it evaluates is the log of that average, against 0."""
+    it evaluates is the log of that average, against 0.
+
+    The risk harness does not evaluate it pair by pair: ``evaluate_stack``
+    runs one subset DP over the block's shared LLR stack."""
 
     name = "np-oracle"
+    stacked = True
     threshold = 1.0
     cut = 0.0
 
@@ -323,11 +347,13 @@ class PreparedNpOracle(PreparedDetector):
             )
         self.model = model
 
-    def evaluate(self, pair, cache):
-        return _log_permanent_ratio(cache.llr())
+    def evaluate_stack(self, llr: np.ndarray) -> np.ndarray:
+        """The log statistics of a ``(..., n, n)`` stack of pair LLR
+        matrices, each equal to the log statistic of its pair alone."""
+        return _log_permanent_ratios(llr)
 
     def measure(self, pair, cache):
-        log_stat = self.evaluate(pair, cache)
+        log_stat = _log_permanent_ratios(cache.llr())
         statistic = float(math.exp(log_stat)) if log_stat < 700 else math.inf
         return log_stat, statistic, {"log_statistic": log_stat}
 
@@ -539,49 +565,89 @@ def count_test(
     )
 
 
-def _log_permanent_ratio(c: np.ndarray) -> float:
-    """log(perm(exp c) / n!) for a finite square matrix c.
+def _log_permanent_ratios(c: np.ndarray):
+    """log(perm(exp c) / n!) of each finite square matrix of ``c``, of shape
+    ``(n, n)`` or ``(..., n, n)``: a float for one matrix, else an array of
+    the lead shape, each value that of its matrix alone, bit for bit.
+
+    The matrices are solved in sub-stacks of ``_permanent_stack_size(n)``,
+    each by one subset DP (see ``_stack_log_permanent_ratios``)."""
+    n = c.shape[-1]
+    stack = c.reshape(-1, n, n)
+    step = _permanent_stack_size(n)
+    values = np.concatenate(
+        [
+            _stack_log_permanent_ratios(stack[lo : lo + step])
+            for lo in range(0, len(stack), step)
+        ]
+    )
+    if c.ndim == 2:
+        return float(values[0])
+    return values.reshape(c.shape[:-2])
+
+
+def _permanent_stack_size(n: int) -> int:
+    """Matrices per sub-stack of the oracle's subset DP at n: the most whose
+    arrays fit ``_PERMANENT_STACK_BYTES`` (see there), at least one."""
+    widest = max(k * math.comb(n, k) for k in range(1, n + 1))
+    per_matrix = 16 * (1 << n) + 24 * n * n + 64 + 8 * _PERMANENT_SCRATCH_ARRAYS * widest
+    return max(1, (_PERMANENT_STACK_BYTES - 9 * (1 << n)) // per_matrix)
+
+
+def _stack_log_permanent_ratios(c: np.ndarray) -> np.ndarray:
+    """log(perm(exp c) / n!) of each matrix of a ``(B, n, n)`` stack ``c``.
 
     Subset DP over column sets: f[S] for |S| = k sums f[S - {j}] * exp(c[k-1, j])
-    over j in S, so f[all columns] is the permanent; O(2^n n) work.  Each row
-    is first shifted by its maximum and every value is kept as a mantissa in
-    [0.5, 1) times an integer power of two, so no term underflows however far
-    the best matching sits below the row maxima, and all terms are positive.
-    Normalising by float(n!), exact for n <= 20, makes the all-zero matrix
-    of an independent model give exactly 0.
-    """
-    n = c.shape[0]
-    shift = c.max(axis=1)
-    log2_a = np.maximum((c - shift[:, None]) / math.log(2.0), _PERMANENT_MIN_EXP)
+    over j in S, so f[all columns] is the permanent; O(2^n n) work a matrix.
+    Each row is first shifted by its maximum and every value is kept as a
+    mantissa in [0.5, 1) times an integer power of two, so no term underflows
+    however far the best matching sits below the row maxima, and all terms
+    are positive.  Normalising by float(n!), exact for n <= 20, makes the
+    all-zero matrix of an independent model give exactly 0.
+
+    The DP runs level by level for the whole stack, with ``(B, 2^n)`` tables
+    and a chunk of up to ``_PERMANENT_CHUNK`` of a level's column sets for
+    all B matrices at once.  Its terms are gathered by ``np.take``, which
+    builds them C-contiguous, so each set's k terms are summed as one
+    contiguous row, in the order a single matrix sums them: a strided row
+    would be summed one term after another instead of pairwise, and move
+    some values by an ulp or more."""
+    b, n = c.shape[0], c.shape[-1]
+    shift = c.max(axis=2)
+    log2_a = np.maximum((c - shift[:, :, None]) / math.log(2.0), _PERMANENT_MIN_EXP)
     a_exp = np.floor(log2_a)
     a_mant = np.exp2(log2_a - a_exp)
     a_exp = a_exp.astype(np.int64)
-    masks = np.arange(1 << n, dtype=np.int64)
-    popcount = np.bitwise_count(masks)
+    del log2_a
+    popcount = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
     by_level = np.argsort(popcount, kind="stable")
     level_start = np.concatenate(([0], np.cumsum(np.bincount(popcount))))
-    mant = np.zeros(1 << n)
-    expo = np.zeros(1 << n, dtype=np.int64)
-    mant[0] = 1.0
+    mant = np.zeros((b, 1 << n))
+    expo = np.zeros((b, 1 << n), dtype=np.int64)
+    mant[:, 0] = 1.0
     bits = np.arange(n, dtype=np.int64)
     for k in range(1, n + 1):
-        row_mant, row_exp = a_mant[k - 1], a_exp[k - 1]
+        row_mant, row_exp = a_mant[:, k - 1], a_exp[:, k - 1]
         for lo in range(level_start[k], level_start[k + 1], _PERMANENT_CHUNK):
             level = by_level[lo : min(lo + _PERMANENT_CHUNK, level_start[k + 1])]
             cols = np.nonzero((level[:, None] >> bits) & 1)[1].reshape(-1, k)
             src = level[:, None] ^ (1 << cols)
-            term_exp = expo[src] + row_exp[cols]
-            top = term_exp.max(axis=1)
-            total = np.ldexp(mant[src] * row_mant[cols], term_exp - top[:, None])
-            level_mant, level_exp = np.frexp(total.sum(axis=1))
-            mant[level] = level_mant
-            expo[level] = top + level_exp
+            term_exp = np.take(expo, src, axis=1)
+            term_exp += np.take(row_exp, cols, axis=1)
+            top = term_exp.max(axis=2)
+            term_exp -= top[:, :, None]
+            terms = np.take(mant, src, axis=1)
+            terms *= np.take(row_mant, cols, axis=1)
+            level_mant, level_exp = np.frexp(
+                np.ldexp(terms, term_exp, out=terms).sum(axis=2)
+            )
+            mant[:, level] = level_mant
+            expo[:, level] = top + level_exp
+            del terms, term_exp  # not held while the next chunk's are built
     fact_mant, fact_exp = math.frexp(float(math.factorial(n)))
-    return (
-        float(shift.sum())
-        + math.log(mant[-1] / fact_mant)
-        + (int(expo[-1]) - fact_exp) * math.log(2.0)
-    )
+    # math.log, not np.log, whose SIMD loops need not round as libm does
+    log_mant = [math.log(m) for m in (mant[:, -1] / fact_mant).tolist()]
+    return shift.sum(axis=1) + log_mant + (expo[:, -1] - fact_exp) * math.log(2.0)
 
 
 def np_oracle(
@@ -591,7 +657,7 @@ def np_oracle(
     pair.
 
     This is the average-risk-optimal decision rule.  The permanent comes from
-    a subset DP over column sets (O(2^n n), see ``_log_permanent_ratio``), so
+    a subset DP over column sets (O(2^n n), see ``_log_permanent_ratios``), so
     the oracle supports n <= ``NP_ORACLE_MAX_N`` and serves as the
     optimality yardstick for the other detectors.
     """

@@ -6,8 +6,9 @@ estimates the average risk; every detector in this package is invariant to
 row reordering, which makes average and worst-case Type-II errors coincide.
 Each trial draws its pairs from substreams keyed by (seed, hypothesis,
 point, trial), and trials run in contiguous blocks whose scan-test
-assignments are solved as one stack, each exactly as if alone; so results
-are bit-identical across block sizes, thread counts and runs.
+assignments and oracle permanents are each solved as one stack, every one
+exactly as if alone; so results are bit-identical across block sizes, thread
+counts and runs.
 """
 
 from __future__ import annotations
@@ -70,8 +71,11 @@ from .models import (
 # C(m^d + n - 1, n)^2 pairs of row multisets, as one array operation per
 # block of x-states, and an operation costs about TV_CALL_WORK products of
 # interpreter time besides (1.4-2.6 us at n = 14, d = 1).  Each block first
-# builds its rows' joint probabilities against all m^d rows, feature by
-# feature, at about TV_ROW_WORK products an entry (7.4 ns at n = 1, d = 14).
+# builds its rows' joint probabilities against all m^d rows, priced at
+# TV_ROW_WORK products an entry and feature.  That price was measured on a
+# build by one gather per feature (7.4 ns at n = 1, d = 14); the Kronecker
+# build takes under 1.8 ns (n = 1, d = 12: 0.37 s in all, 1.1 s before), so
+# the guard now over-prices this term and refuses no less than before.
 TV_MAX_WORK = 10**9
 TV_CALL_WORK = 1_000
 TV_ROW_WORK = 3
@@ -200,9 +204,10 @@ def thread_count(override: Optional[int] = None) -> int:
 # sweeps and the permanent's subset DP are many small numpy calls.  Seconds
 # per point, 1 worker / 2 workers (median of 5, 2-vCPU machine, numpy
 # 2.4.6): glrt (Gaussian, d=10) n=100, 16 trials 0.10/0.25, n=300, 4 trials
-# 0.30/1.37; np-oracle+glrt (Bernoulli, n=8, d=10, 50 trials) 0.07/0.10.
-# Two workers also split a point's scan-test stack into blocks of 1-2
-# trials, which the lockstep solver runs slower than one stack.
+# 0.30/1.37; np-oracle+glrt (Bernoulli, n=8, d=10, 50 trials, with the
+# oracle's stacked DP) 0.016-0.017/0.026-0.060 over four runs.  Two workers
+# also split a point's LLR stack into eight blocks, which the lockstep
+# solver and the oracle's DP run slower than one stack.
 GIL_BOUND_DETECTORS = ("glrt", "np-oracle")
 # A trial's work outside the interpreter lock grows with the n x d databases
 # it draws and, for the count test, with the n x n x d LLR matrix product.
@@ -226,11 +231,12 @@ POOL_MIN_COUNT_NND = 150_000
 # trial blocks per worker of a pooled point, so that no worker idles long
 # at the end
 BLOCKS_PER_WORKER = 4
-# bytes of one block's stack of scan-test LLR matrices, (trials, 2, n, n)
-# float64, which is solved in one call: a stack of 4 matrices solves about
-# as fast as a loop over them, one of 16 up to 2.4x faster (README,
-# "Assignment solver")
-GLRT_STACK_BYTES = 1 << 25
+# bytes of one block's stack of pair LLR matrices, (trials, 2, n, n) float64,
+# which each stacked detector (scan test, mixture oracle) evaluates in one
+# call: a stack of 4 matrices solves about as fast as a loop over them, one
+# of 16 up to 2.4x faster (README, "Assignment solver"), and the oracle's
+# 100 permanents at n = 8 take 3.6 ms against 21 ms one by one
+LLR_STACK_BYTES = 1 << 25
 
 
 def point_workers(plan: TrialPlan, n: int, d: int, threads: int) -> int:
@@ -344,29 +350,31 @@ def _point_records(
 
     The work units are contiguous blocks of trials (see
     :func:`_trial_blocks`).  A block draws each trial's two pairs from the
-    trial's own substreams and records the statistics of every detector but
-    the scan test at once.  Of the scan test it keeps each pair's LLR matrix
-    in one ``(trials, 2, n, n)`` stack, of at most ``GLRT_STACK_BYTES``,
-    which it solves as one stack once its trials are drawn; it holds no
-    other pair or cache of past trials.  A threshold that needs work of its
-    own (the count test's pd plan, a Monte-Carlo estimate for Gaussian
-    models) is settled by the first work units of the same pool as the
-    blocks, so it runs while they do, and the decisions ``statistic >= cut``
-    are taken once all units are in.  A plan that fails, or whose pd makes
-    the threshold vacuous, raises before any trial's error.  The pool has
-    :func:`point_workers` threads, and while it has more than one, OpenBLAS
-    is held to one thread.  Neither the blocks nor the workers change a
-    statistic: every trial's pairs and records are those it has alone."""
+    trial's own substreams and records the statistics of the per-pair
+    detectors (sum, count) at once.  For the stacked detectors (scan test,
+    mixture oracle) it keeps each pair's LLR matrix in one ``(trials, 2, n,
+    n)`` stack, of at most ``LLR_STACK_BYTES``, which each of them evaluates
+    in one call once the block's trials are drawn; it holds no other pair or
+    cache of past trials.  A threshold that needs work of its own (the count
+    test's pd plan, a Monte-Carlo estimate for Gaussian models) is settled
+    by the first work units of the same pool as the blocks, so it runs while
+    they do, and the decisions ``statistic >= cut`` are taken once all units
+    are in.  A plan that fails, or whose pd makes the threshold vacuous,
+    raises before any trial's error.  The pool has :func:`point_workers`
+    threads, and while it has more than one, OpenBLAS is held to one thread.
+    Neither the blocks nor the workers change a statistic: every trial's
+    pairs and records are those it has alone."""
     detectors = prepare(model, n, d, plan, plans)
     pending = [det for det in dict.fromkeys(detectors) if det.cut is None]
-    scan = next((det for det in detectors if isinstance(det, PreparedGlrt)), None)
+    stacked = [det for det in dict.fromkeys(detectors) if det.stacked]
+    per_pair = [(idx, det) for idx, det in enumerate(detectors) if not det.stacked]
     k = len(detectors)
 
     def run_unit(unit):
         if isinstance(unit, PreparedDetector):
             return unit.settle()
         records = np.empty((len(unit), 2, k))  # [trial, hypothesis, detector]
-        llr = None if scan is None else _mapped_stack((len(unit), 2, n, n))
+        llr = _mapped_stack((len(unit), 2, n, n)) if stacked else None
         for t, trial in enumerate(unit):
             rng0 = rngmod.substream(plan.seed, rngmod.RISK_NULL, point_index, trial)
             pair0 = sample_null_rng(model, n, d, rng0)
@@ -374,19 +382,19 @@ def _point_records(
             pair1 = sample_alt_rng(model, n, d, rng1)
             pairs = (pair0, pair1)
             caches = (PairCache(model, pair0), PairCache(model, pair1))
-            for idx, det in enumerate(detectors):
+            for idx, det in per_pair:
                 for h in (0, 1):
-                    if det is scan:
-                        llr[t, h] = caches[h].llr()
-                    else:
-                        records[t, h, idx] = det.evaluate(pairs[h], caches[h])
-        if scan is not None:
-            cols = [idx for idx, det in enumerate(detectors) if det is scan]
-            records[:, :, cols] = scan.evaluate_stack(llr)[:, :, None]
+                    records[t, h, idx] = det.evaluate(pairs[h], caches[h])
+            if stacked:
+                for h in (0, 1):
+                    llr[t, h] = caches[h].llr()
+        for det in stacked:
+            cols = [idx for idx, other in enumerate(detectors) if other is det]
+            records[:, :, cols] = det.evaluate_stack(llr)[:, :, None]
         return records
 
     workers = point_workers(plan, n, d, threads)
-    cap = plan.trials if scan is None else GLRT_STACK_BYTES // (16 * n * n)
+    cap = LLR_STACK_BYTES // (16 * n * n) if stacked else plan.trials
     units = pending + _trial_blocks(plan.trials, workers, cap)
     with _one_blas_thread(workers > 1), ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_unit, units))
@@ -692,11 +700,17 @@ def _enumeration_tables(model: DiscreteJointModel, n: int, d: int):
 
 def _row_pair_prob(model: DiscreteJointModel, row_symbols: np.ndarray, rows):
     """Joint probability of each row in ``rows`` paired with every possible
-    row: shape (len(rows), m^d)."""
-    out = np.ones((len(rows), row_symbols.shape[0]))
-    for feature in range(row_symbols.shape[1]):
-        symbols = row_symbols[:, feature]
-        out *= model.joint[symbols[rows][:, None], symbols[None, :]]
+    row: shape (len(rows), m^d).
+
+    Rows are numbered with the first feature's symbol most significant, so
+    each row of the result is the Kronecker product of the rows of the joint
+    table its symbols pick, built feature by feature.  Its entries are the
+    per-feature products taken left to right."""
+    x = row_symbols[rows]
+    out = model.joint[x[:, 0]]
+    for feature in range(1, x.shape[1]):
+        factor = model.joint[x[:, feature]]
+        out = (out[:, :, None] * factor[:, None, :]).reshape(len(rows), -1)
     return out
 
 

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the production code paths they check:
 quadrature instead of closed forms, factorial enumeration instead of the
 assignment solver and the permanent's subset DP, a scalar loop instead of the
-solver's row-wise array scan, direct database enumeration instead of cycle
+solver's row-wise array scan, one matrix at a time instead of the
+permanent's stacked subset DP, direct database enumeration instead of cycle
 types, a sum over cycle types instead of the cycle-index recurrence, one
 bounded draw per swap instead of Fisher-Yates's single array draw,
 whole-chunk draws and array expressions instead of the Monte-Carlo pd
@@ -22,6 +23,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from dbdetect import rng as rngmod
+from dbdetect.detectors import _PERMANENT_CHUNK, _PERMANENT_MIN_EXP
 from dbdetect.errors import CapacityError
 from dbdetect.exponents import llr_atoms
 from dbdetect.models import DiscreteJointModel, GaussianModel, make_bernoulli
@@ -414,6 +416,46 @@ def partition_sum_second_moment(profile: SpectralProfile, n: int, d: int) -> flo
             running_sum = running_sum * math.exp(running_max - term) + 1.0
             running_max = term
     return max(1.0, math.exp(running_max + math.log(running_sum)))
+
+
+def per_pair_log_permanent_ratio(c: np.ndarray) -> float:
+    """log(perm(exp c) / n!) of one finite square matrix by the subset DP
+    over column sets, one matrix at a time, with the same frexp scaling and
+    level chunks as ``detectors._log_permanent_ratios``.  The stacked kernel
+    runs this DP for a whole stack and must return each of its values bit
+    for bit."""
+    n = c.shape[0]
+    shift = c.max(axis=1)
+    log2_a = np.maximum((c - shift[:, None]) / math.log(2.0), _PERMANENT_MIN_EXP)
+    a_exp = np.floor(log2_a)
+    a_mant = np.exp2(log2_a - a_exp)
+    a_exp = a_exp.astype(np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    popcount = np.bitwise_count(masks)
+    by_level = np.argsort(popcount, kind="stable")
+    level_start = np.concatenate(([0], np.cumsum(np.bincount(popcount))))
+    mant = np.zeros(1 << n)
+    expo = np.zeros(1 << n, dtype=np.int64)
+    mant[0] = 1.0
+    bits = np.arange(n, dtype=np.int64)
+    for k in range(1, n + 1):
+        row_mant, row_exp = a_mant[k - 1], a_exp[k - 1]
+        for lo in range(level_start[k], level_start[k + 1], _PERMANENT_CHUNK):
+            level = by_level[lo : min(lo + _PERMANENT_CHUNK, level_start[k + 1])]
+            cols = np.nonzero((level[:, None] >> bits) & 1)[1].reshape(-1, k)
+            src = level[:, None] ^ (1 << cols)
+            term_exp = expo[src] + row_exp[cols]
+            top = term_exp.max(axis=1)
+            total = np.ldexp(mant[src] * row_mant[cols], term_exp - top[:, None])
+            level_mant, level_exp = np.frexp(total.sum(axis=1))
+            mant[level] = level_mant
+            expo[level] = top + level_exp
+    fact_mant, fact_exp = math.frexp(float(math.factorial(n)))
+    return (
+        float(shift.sum())
+        + math.log(mant[-1] / fact_mant)
+        + (int(expo[-1]) - fact_exp) * math.log(2.0)
+    )
 
 
 def permutation_log_statistic(c: np.ndarray) -> float:

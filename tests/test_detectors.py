@@ -1,6 +1,7 @@
 """Detectors: scan, sum, count, and the exact mixture oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from dbdetect.detectors import (
     CountPlans,
     CountTestPlan,
     PairCache,
+    _PERMANENT_MIN_EXP,
     _exact_pd,
-    _log_permanent_ratio,
+    _log_permanent_ratios,
     _monte_carlo_pd,
     count_test,
     glrt,
@@ -47,6 +49,7 @@ from helpers import (
     full_chunk_monte_carlo_pd,
     gauss,
     independent_model,
+    per_pair_log_permanent_ratio,
     permutation_log_statistic,
     random_discrete_model,
     recursive_exact_pd,
@@ -510,7 +513,7 @@ class TestNPOracle:
         # exp(C - row max) alone would underflow to a zero permanent
         c = np.random.default_rng(n).normal(scale=500.0, size=(n, n))
         expected = permutation_log_statistic(c)
-        assert _log_permanent_ratio(c) == pytest.approx(expected, rel=1e-12)
+        assert _log_permanent_ratios(c) == pytest.approx(expected, rel=1e-12)
 
     def test_statistic_matches_direct_permanent(self):
         import itertools
@@ -525,3 +528,97 @@ class TestNPOracle:
             )
         direct /= math.factorial(4)
         assert np_oracle(model, pair).statistic == pytest.approx(direct, rel=1e-10)
+
+
+def permanent_test_matrices(rng, n, count):
+    """``count`` n x n matrices cycling through three kinds: normal x 5
+    entries, integer entries with ties, and normal x 800 with one row scaled
+    by 1e13, whose spread holds its far entries at ``_PERMANENT_MIN_EXP``."""
+    out = np.empty((count, n, n))
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            out[i] = rng.normal(size=(n, n)) * 5.0
+        elif kind == 1:
+            out[i] = rng.integers(-2, 3, size=(n, n))
+        else:
+            out[i] = rng.normal(size=(n, n)) * 800.0
+            out[i, rng.integers(n)] *= 1e13
+    return out
+
+
+class TestStackedPermanents:
+    """``_log_permanent_ratios`` on a stack returns, bit for bit, the value
+    the per-pair subset DP gives each matrix alone."""
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 16])
+    def test_stack_equals_per_pair_dp(self, n):
+        rng = np.random.default_rng(1000 + n)
+        sizes = range(1, 31) if n <= 12 else (1, 2, 5)
+        c = permanent_test_matrices(rng, n, max(sizes))
+        if n > 1:
+            spread = (c - c.max(axis=2, keepdims=True)) / math.log(2.0)
+            assert spread.min() < _PERMANENT_MIN_EXP
+        expected = np.array([per_pair_log_permanent_ratio(m) for m in c])
+        for size in sizes:  # each stack as one DP, whatever the sub-stack rule
+            got = detectors._stack_log_permanent_ratios(c[:size])
+            np.testing.assert_array_equal(got, expected[:size], err_msg=f"B={size}")
+        np.testing.assert_array_equal(_log_permanent_ratios(c), expected)
+        single = _log_permanent_ratios(c[0])
+        assert isinstance(single, float) and single == expected[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_harness_llr_stacks(self, seed):
+        """The LLR stacks of the benchmark's oracle point: Bernoulli(0.6,
+        0.3), n=8, d=10, 50 trials, from the harness's substreams."""
+        model = make_bernoulli(0.6, 0.3)
+        llr = np.empty((50, 2, 8, 8))
+        samplers = ((rngmod.RISK_NULL, sample_null_rng), (rngmod.RISK_ALT, sample_alt_rng))
+        for trial in range(50):
+            for h, (purpose, sample) in enumerate(samplers):
+                pair = sample(model, 8, 10, rngmod.substream(seed, purpose, 0, trial))
+                llr[trial, h] = pair_llr_matrix(model, pair.x, pair.y)
+        got = _log_permanent_ratios(llr)
+        assert got.shape == (50, 2)
+        expected = [[per_pair_log_permanent_ratio(m) for m in pairs] for pairs in llr]
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    def test_sub_stack_rule(self):
+        """Up to n = 11 a sub-stack holds several matrices, and its traced
+        peak stays within the byte budget; from n = 12 on, n = 20 included,
+        a matrix is a stack of one (checked without running its DP)."""
+        rng = np.random.default_rng(7)
+        for n in range(1, 12):
+            step = detectors._permanent_stack_size(n)
+            assert step > 1
+            c = rng.normal(size=(step, n, n))
+            tracemalloc.start()
+            try:
+                detectors._stack_log_permanent_ratios(c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= detectors._PERMANENT_STACK_BYTES, n
+        for n in range(12, NP_ORACLE_MAX_N + 1):
+            assert detectors._permanent_stack_size(n) == 1
+
+    def test_sub_stacks_and_chunks_are_invisible(self, monkeypatch):
+        """With a 64 KiB budget and chunks of 16 column sets, a stack of
+        n = 8 matrices is solved in sub-stacks of the rule's size, with
+        levels split into chunks, each matrix bit for bit as alone."""
+        monkeypatch.setattr(detectors, "_PERMANENT_CHUNK", 16)
+        monkeypatch.setattr(detectors, "_PERMANENT_STACK_BYTES", 64 << 10)
+        step = detectors._permanent_stack_size(8)
+        assert 1 < step < 10
+        sizes = []
+        kernel = detectors._stack_log_permanent_ratios
+
+        def recording(c):
+            sizes.append(len(c))
+            return kernel(c)
+
+        monkeypatch.setattr(detectors, "_stack_log_permanent_ratios", recording)
+        c = permanent_test_matrices(np.random.default_rng(8), 8, 2 * step + 1)
+        got = _log_permanent_ratios(c)
+        assert sizes == [step, step, 1]
+        np.testing.assert_array_equal(got, [per_pair_log_permanent_ratio(m) for m in c])

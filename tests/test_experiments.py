@@ -1,5 +1,6 @@
 """Risk harness, sweeps, exact total-variation oracle, bound report."""
 
+import itertools
 import math
 import re
 import sys
@@ -237,8 +238,12 @@ class TestDeferredCountDecisions:
                 model=make_bernoulli(0.7, 0.4), n=7, d=6, trials=25, seed=9,
                 detectors=("np-oracle", "glrt"),
             ),
+            TrialPlan(
+                model=make_bernoulli(0.7, 0.4), n=7, d=6, trials=25, seed=9,
+                detectors=("np-oracle",),
+            ),
         ],
-        ids=["bernoulli-glrt-count", "np-oracle-glrt"],
+        ids=["bernoulli-glrt-count", "np-oracle-glrt", "np-oracle"],
     )
     def test_blocks_are_invisible_in_the_output(
         self, plan, threads, monkeypatch, recording_pool
@@ -247,7 +252,7 @@ class TestDeferredCountDecisions:
         block of its own, with a stack of two: the CSV bytes are those of
         the default, where the point is one block."""
         default = estimates_to_csv(estimate_risk(plan, threads=threads))
-        monkeypatch.setattr(experiments, "GLRT_STACK_BYTES", 1)
+        monkeypatch.setattr(experiments, "LLR_STACK_BYTES", 1)
         assert estimates_to_csv(estimate_risk(plan, threads=threads)) == default
         units = [len(results) for results in recording_pool["results"]]
         pending = int("count" in plan.detectors)
@@ -749,6 +754,21 @@ class TestExactTV:
             model = random_discrete_model(rng, 3)
             tv, _ = exact_tv_small(model, n, d)
             assert tv == pytest.approx(dense_exact_tv(model, n, d), abs=1e-13)
+
+    @pytest.mark.parametrize("m,d", [(2, 1), (2, 6), (3, 4), (4, 3)])
+    def test_kernel_rows_are_the_per_feature_products(self, m, d):
+        """Each kernel row, built as a Kronecker product, equals the product
+        of the joint-table entries of its features, taken left to right."""
+        rng = np.random.default_rng(10 * m + d)
+        model = make_bernoulli(0.6, 0.3) if m == 2 else random_discrete_model(rng, m)
+        row_symbols = np.array(list(itertools.product(range(m), repeat=d)))
+        rows = rng.integers(0, m**d, size=9)
+        expected = np.ones((len(rows), m**d))
+        for feature in range(d):
+            symbols = row_symbols[:, feature]
+            expected *= model.joint[symbols[rows][:, None], symbols[None, :]]
+        got = experiments._row_pair_prob(model, row_symbols, rows)
+        np.testing.assert_array_equal(got, expected)
 
     def test_states_span_several_blocks(self, monkeypatch):
         # 2^(3*2) = 64 ordered x-databases are 20 row multisets
