@@ -21,6 +21,7 @@ from .models import (
     JointModel,
     llr,
     make_bernoulli,
+    observations,
     pair_llr,
     pair_llr_matrix,
     pearson_rho,

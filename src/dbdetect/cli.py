@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .exponents import chernoff_exponent, kl_divergences
-from .models import DatabasePair, sample_alt, sample_null
+from .models import DatabasePair, observations, sample_alt, sample_null
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -75,8 +75,8 @@ def cmd_sample(args) -> int:
 
 def cmd_detect(args) -> int:
     model = cfg.load_model(args.model)
-    x = cfg.matrix_for_model(model, cfg.read_matrix_csv(args.x))
-    y = cfg.matrix_for_model(model, cfg.read_matrix_csv(args.y))
+    x = observations(model, cfg.read_matrix_csv(args.x))
+    y = observations(model, cfg.read_matrix_csv(args.y))
     pair = DatabasePair(x=x, y=y)
     plan = experiments.TrialPlan(
         model=model,

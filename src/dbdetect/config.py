@@ -312,14 +312,3 @@ def read_matrix_csv(path: str) -> np.ndarray:
         except ValueError:
             raise ValidationError(f"{path}:{number}: expected numbers, got {line!r}")
     return np.array(rows, dtype=np.float64)
-
-
-def matrix_for_model(model: JointModel, matrix: np.ndarray) -> np.ndarray:
-    """Cast a CSV matrix to the model's observation dtype (validated ints for
-    discrete alphabets, floats otherwise)."""
-    if isinstance(model, GaussianModel):
-        return matrix
-    as_int = matrix.astype(np.int64)
-    if not np.array_equal(as_int, matrix):
-        raise ValidationError("discrete observations must be integers")
-    return as_int

@@ -24,7 +24,7 @@ from .models import (
     DiscreteJointModel,
     GaussianModel,
     JointModel,
-    _check_symbols,
+    observations,
     pair_llr_matrix,
 )
 
@@ -262,14 +262,8 @@ class PreparedSum(PreparedDetector):
         return _sum_statistic(self._table, self._c2, pair.x, pair.y)
 
     def measure(self, pair, cache):
-        if self._c2 is not None:
-            x = pair.x.astype(np.float64)
-            y = pair.y.astype(np.float64)
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise ValidationError("non-finite observation in the data matrices")
-        else:
-            x = _check_symbols(self.model, pair.x)
-            y = _check_symbols(self.model, pair.y)
+        x = observations(self.model, pair.x)
+        y = observations(self.model, pair.y)
         statistic = _sum_statistic(self._table, self._c2, x, y)
         return statistic, statistic, {}
 

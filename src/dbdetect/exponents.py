@@ -220,10 +220,10 @@ def centered_kernel(model: JointModel, x, y) -> float:
     For the Gaussian family the centering collapses to
     rho / (1 - rho^2) * x * y.
     """
+    llr(model, x, y)  # the observation contract, and the support
     if isinstance(model, GaussianModel):
         rho = model.rho
         return rho / (1.0 - rho * rho) * float(x) * float(y)
-    llr(model, x, y)  # support validation
     return float(_centered_table(model)[int(x), int(y)])
 
 

@@ -9,10 +9,11 @@ law obtained as the product of those marginals.  Two families are supported:
   parametric 2x2 special case), and
 * :class:`GaussianModel`, standard bivariate normal with correlation ``rho``.
 
-On top of the model the module evaluates the single-letter log-likelihood
-ratio of the joint law against independence, its sum over a feature row, and
-samples ``n x d`` observation matrices under the independent (null) and
-row-permuted dependent (alternative) hypotheses, deterministically in a seed.
+On top of the model the module checks data against it (:func:`observations`),
+evaluates the single-letter log-likelihood ratio of the joint law against
+independence and its sum over a feature row, and samples ``n x d``
+observation matrices under the independent (null) and row-permuted dependent
+(alternative) hypotheses, deterministically in a seed.
 """
 
 from __future__ import annotations
@@ -238,35 +239,45 @@ def pearson_rho(model: DiscreteJointModel) -> float:
     return (exy - mean * mean) / var
 
 
-def _gaussian_llr(rho: float, x, y):
+def observations(model: JointModel, values) -> np.ndarray:
+    """The model's observations as an array: finite float64 for the Gaussian
+    family, int64 symbols in ``0..m-1`` for a discrete model.  Anything else
+    raises :class:`DomainError`, with one message per fault; every entry
+    point that reads data checks it here."""
+    values = np.asarray(values)
+    if isinstance(model, GaussianModel):
+        values = values.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(values)):
+            raise DomainError("gaussian observations must be finite")
+        return values
+    if values.dtype.kind == "f" and not np.all(
+        np.isfinite(values) & (np.trunc(values) == values)
+    ):
+        raise DomainError("discrete observations must be integers")
+    symbols = values.astype(np.int64, copy=False)
+    m = model.alphabet_size
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= m):
+        raise DomainError(f"observations must be symbols in 0..{m - 1}")
+    return symbols
+
+
+def _gaussian_llr(rho: float, d, xx, yy, xy):
+    """Gaussian row-pair LLR over d features, from the squared norms ``xx``,
+    ``yy`` of the two rows and their inner product ``xy``."""
     c = 1.0 - rho * rho
-    return -0.5 * math.log(c) + (-(x * x + y * y) * rho * rho + 2.0 * x * y * rho) / (
-        2.0 * c
-    )
+    quad = -rho * rho * (xx + yy) + 2.0 * rho * xy
+    return -0.5 * d * math.log(c) + quad / (2.0 * c)
 
 
 def llr(model: JointModel, x, y) -> float:
     """Single-letter log-likelihood ratio log P(x, y) / (q(x) q(y))."""
-    if isinstance(model, GaussianModel):
-        x = float(x)
-        y = float(y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError(f"gaussian observations must be finite, got ({x}, {y})")
-        return float(_gaussian_llr(model.rho, x, y))
-    xi, yi = int(x), int(y)
-    m = model.alphabet_size
-    if not (0 <= xi < m and 0 <= yi < m) or xi != x or yi != y:
-        raise DomainError(f"({x}, {y}) is not a pair of symbols in 0..{m - 1}")
-    value = model.llr_table[xi, yi]
-    if not np.isfinite(value):
-        raise DomainError(f"({xi}, {yi}) lies outside the support of the joint law")
-    return float(value)
+    return pair_llr(model, [x], [y])
 
 
 def pair_llr(model: JointModel, x_row, y_row) -> float:
     """Row-level log-likelihood ratio: the sum of llr over the d features."""
-    x_row = np.asarray(x_row)
-    y_row = np.asarray(y_row)
+    x_row = observations(model, x_row)
+    y_row = observations(model, y_row)
     if x_row.ndim != 1 or y_row.ndim != 1 or x_row.shape != y_row.shape:
         raise ValidationError(
             f"rows must be 1-D and of equal length, got shapes "
@@ -275,32 +286,12 @@ def pair_llr(model: JointModel, x_row, y_row) -> float:
     if x_row.size < 1:
         raise ValidationError("rows must have at least one feature")
     if isinstance(model, GaussianModel):
-        xf = x_row.astype(np.float64)
-        yf = y_row.astype(np.float64)
-        if not (np.all(np.isfinite(xf)) and np.all(np.isfinite(yf))):
-            raise DomainError("gaussian observations must be finite")
-        rho = model.rho
-        c = 1.0 - rho * rho
-        quad = float(-(xf @ xf + yf @ yf) * rho * rho + 2.0 * rho * (xf @ yf))
-        return -0.5 * x_row.size * math.log(c) + quad / (2.0 * c)
-    xi = _check_symbols(model, x_row)
-    yi = _check_symbols(model, y_row)
-    values = model.llr_table[xi, yi]
+        xx, yy, xy = x_row @ x_row, y_row @ y_row, x_row @ y_row
+        return float(_gaussian_llr(model.rho, x_row.size, xx, yy, xy))
+    values = model.llr_table[x_row, y_row]
     if not np.all(np.isfinite(values)):
         raise DomainError("row pair hits a zero-probability cell of the joint law")
     return float(values.sum())
-
-
-def _check_symbols(model: DiscreteJointModel, arr: np.ndarray) -> np.ndarray:
-    idx = np.asarray(arr)
-    as_int = idx.astype(np.int64)
-    if idx.dtype.kind == "f":
-        if not np.array_equal(as_int, idx):
-            raise DomainError("discrete observations must be integers")
-    m = model.alphabet_size
-    if as_int.size and (as_int.min() < 0 or as_int.max() >= m):
-        raise DomainError(f"observations must be symbols in 0..{m - 1}")
-    return as_int
 
 
 def pair_llr_matrix(model: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -309,33 +300,23 @@ def pair_llr_matrix(model: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarr
     Evaluated with dense linear algebra: one BLAS product for the Gaussian
     quadratic form, or one product per alphabet cell for discrete models.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
+    if isinstance(model, DiscreteJointModel):
+        model.require_mutual_continuity("pair_llr_matrix")
+        model.require_positive_marginal("pair_llr_matrix")
+    x = observations(model, x)
+    y = observations(model, y)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ValidationError("x and y must be matrices with the same feature count")
-    d = x.shape[1]
     if isinstance(model, GaussianModel):
-        xf = x.astype(np.float64)
-        yf = y.astype(np.float64)
-        if not (np.all(np.isfinite(xf)) and np.all(np.isfinite(yf))):
-            raise DomainError("gaussian observations must be finite")
-        rho = model.rho
-        c = 1.0 - rho * rho
-        rx = np.einsum("ij,ij->i", xf, xf)
-        ry = np.einsum("ij,ij->i", yf, yf)
-        quad = -rho * rho * (rx[:, None] + ry[None, :]) + 2.0 * rho * (xf @ yf.T)
-        return -0.5 * d * math.log(c) + quad / (2.0 * c)
-    model.require_mutual_continuity("pair_llr_matrix")
-    model.require_positive_marginal("pair_llr_matrix")
-    xi = _check_symbols(model, x)
-    yi = _check_symbols(model, y)
-    m = model.alphabet_size
+        rx = np.einsum("ij,ij->i", x, x)
+        ry = np.einsum("ij,ij->i", y, y)
+        return _gaussian_llr(model.rho, x.shape[1], rx[:, None], ry[None, :], x @ y.T)
     table = model.llr_table
     out = np.zeros((x.shape[0], y.shape[0]))
-    for a in range(m):
-        xa = (xi == a).astype(np.float64)
-        for b in range(m):
-            yb = (yi == b).astype(np.float64)
+    for a in range(model.alphabet_size):
+        xa = (x == a).astype(np.float64)
+        for b in range(model.alphabet_size):
+            yb = (y == b).astype(np.float64)
             out += table[a, b] * (xa @ yb.T)
     return out
 

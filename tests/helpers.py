@@ -8,8 +8,9 @@ permanent's stacked subset DP, direct database enumeration instead of cycle
 types, a sum over cycle types instead of the cycle-index recurrence, one
 bounded draw per swap instead of Fisher-Yates's single array draw,
 whole-chunk draws and array expressions instead of the Monte-Carlo pd
-kernel's blocks, and a recursion over compositions instead of the exact pd's
-walk over atoms.
+kernel's blocks, a recursion over compositions instead of the exact pd's
+walk over atoms, and the all-pairs Gaussian LLR matrix written out inline
+instead of through the model's shared row-pair formula.
 """
 
 import importlib.util
@@ -71,6 +72,47 @@ def gauss_expect_2d(f, nodes: int = 64):
     xx, yy = np.meshgrid(x, x, indexing="ij")
     ww = np.outer(w, w)
     return float(np.sum(ww * f(xx, yy)))
+
+
+# One bad value per fault of the observation contract: the kind of model it
+# breaks, the value, and the message every entry point that reads data raises
+BAD_OBSERVATIONS = {
+    "gaussian-nan": ("gaussian", math.nan, "gaussian observations must be finite"),
+    "gaussian-inf": ("gaussian", math.inf, "gaussian observations must be finite"),
+    "gaussian-minus-inf": (
+        "gaussian", -math.inf, "gaussian observations must be finite"
+    ),
+    "discrete-half": ("discrete", 0.5, "discrete observations must be integers"),
+    "discrete-minus-one": ("discrete", -1, "observations must be symbols in 0..1"),
+    "discrete-m": ("discrete", 2, "observations must be symbols in 0..1"),
+}
+
+
+def bad_observation(case: str):
+    """(model, bad value, message) of a ``BAD_OBSERVATIONS`` case; the
+    discrete cases break ``diag_model()``, whose alphabet is {0, 1}."""
+    kind, bad, message = BAD_OBSERVATIONS[case]
+    return (gauss(0.6) if kind == "gaussian" else diag_model()), bad, message
+
+
+def with_bad_entry(bad, shape) -> np.ndarray:
+    """Zeros of ``bad``'s dtype (valid data for either family), with
+    ``bad`` in the last entry."""
+    out = np.zeros(shape, dtype=np.asarray(bad).dtype)
+    out.flat[-1] = bad
+    return out
+
+
+def gaussian_pair_llr_matrix(rho: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The all-pairs Gaussian LLR matrix written out inline, in the operation
+    order ``pair_llr_matrix`` keeps: its output matches this bit for bit."""
+    xf = x.astype(np.float64)
+    yf = y.astype(np.float64)
+    c = 1.0 - rho * rho
+    rx = np.einsum("ij,ij->i", xf, xf)
+    ry = np.einsum("ij,ij->i", yf, yf)
+    quad = -rho * rho * (rx[:, None] + ry[None, :]) + 2.0 * rho * (xf @ yf.T)
+    return -0.5 * x.shape[1] * math.log(c) + quad / (2.0 * c)
 
 
 def gauss_llr_values(rho, x, y):

@@ -14,7 +14,6 @@ from dbdetect.cli import build_parser, main
 from dbdetect.config import (
     load_model,
     load_plan,
-    matrix_for_model,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -22,9 +21,9 @@ from dbdetect import experiments, spectral
 from dbdetect.detectors import NP_ORACLE_MAX_N, glrt, sum_test
 from dbdetect.errors import DetectionError, InvariantViolationError, ValidationError
 from dbdetect.exponents import kl_divergences
-from dbdetect.models import GaussianModel, sample_alt
+from dbdetect.models import GaussianModel, observations, sample_alt
 
-from helpers import random_discrete_model
+from helpers import BAD_OBSERVATIONS, random_discrete_model, with_bad_entry
 
 GAUSS_MODEL = "kind = gaussian\nrho = 0.6\n"
 DIAG_MODEL = "kind = discrete\nalphabet_size = 2\njoint = 0.4 0.1 0.1 0.4\n"
@@ -103,7 +102,7 @@ class TestMatrixCSV:
         model = load_model(model_file(DIAG_MODEL))
         path = str(tmp_path / "x.csv")
         write_matrix_csv(path, np.array([[0, 1], [1, 0]]))
-        cast = matrix_for_model(model, read_matrix_csv(path))
+        cast = observations(model, read_matrix_csv(path))
         assert cast.dtype == np.int64
 
 
@@ -580,9 +579,19 @@ class TestExitCodes:
         ["missing-model", "missing-plan", "missing-x", "unwritable-out",
          "bad-cell", "bad-thetas", "bad-theta-points", "zero-threads",
          "bounds-n-zero", "bounds-n-negative", "pd-samples-plan",
-         "pd-samples-risk", "pd-samples-detect"],
+         "pd-samples-risk", "pd-samples-detect", *BAD_OBSERVATIONS],
     )
     def test_bad_input_is_one_error_line(self, model_file, tmp_path, capsys, case):
+        if case in BAD_OBSERVATIONS:
+            # a value outside the observation contract fails as the matrix loads
+            kind, bad, message = BAD_OBSERVATIONS[case]
+            model_path = model_file(GAUSS_MODEL if kind == "gaussian" else DIAG_MODEL)
+            write_matrix_csv(str(tmp_path / "X.csv"), with_bad_entry(bad, (3, 2)))
+            write_matrix_csv(str(tmp_path / "Y.csv"), np.zeros((3, 2)))
+            assert run_cli("detect", "--model", model_path, "--x", tmp_path / "X.csv",
+                           "--y", tmp_path / "Y.csv", "--detector", "sum") == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            return
         model_path = model_file(GAUSS_MODEL)
         plan_path = tmp_path / "plan.txt"
         plan_path.write_text(PLAN_TEXT)

@@ -23,7 +23,12 @@ from dbdetect.detectors import (
     np_oracle,
     sum_test,
 )
-from dbdetect.errors import CapacityError, DegenerateModelError, ValidationError
+from dbdetect.errors import (
+    CapacityError,
+    DegenerateModelError,
+    DomainError,
+    ValidationError,
+)
 from dbdetect.experiments import TrialPlan, estimate_risk
 from dbdetect.exponents import (
     centered_kernel,
@@ -43,6 +48,8 @@ from dbdetect.models import (
 )
 
 from helpers import (
+    BAD_OBSERVATIONS,
+    bad_observation,
     bern55,
     brute_force_max_assignment,
     diag_model,
@@ -54,6 +61,7 @@ from helpers import (
     random_discrete_model,
     recursive_exact_pd,
     sum_test_exact_risk,
+    with_bad_entry,
 )
 
 
@@ -113,10 +121,26 @@ class TestGLRT:
         with pytest.raises((ValidationError, DegenerateModelError)):
             glrt(model, pair)
 
-    def test_rejects_non_finite_gaussian_data(self):
-        pair = pair_of([[np.nan]], [[0.0]])
-        with pytest.raises(ValidationError):
-            glrt(gauss(0.5), pair)
+    @pytest.mark.parametrize("side", ["x", "y"])
+    @pytest.mark.parametrize("detector", ["sum", "glrt", "count", "np-oracle"])
+    @pytest.mark.parametrize("case", list(BAD_OBSERVATIONS))
+    def test_rejects_non_finite_gaussian_data(self, case, detector, side):
+        """Every detector rejects a value outside the model's observation
+        contract, on either side, with the contract's one DomainError."""
+        model, bad, message = bad_observation(case)
+        data = {"x": np.zeros((3, 2)), "y": np.zeros((3, 2))}
+        data[side] = with_bad_entry(bad, (3, 2))
+        pair = pair_of(data["x"], data["y"])
+        plan = CountTestPlan(tau_count=0.0, pd=0.5, pd_method="monte-carlo")
+        run = {
+            "sum": lambda: sum_test(model, pair),
+            "glrt": lambda: glrt(model, pair),
+            "count": lambda: count_test(model, pair, plan),
+            "np-oracle": lambda: np_oracle(model, pair),
+        }[detector]
+        with pytest.raises(DomainError) as err:
+            run()
+        assert str(err.value) == message
 
 
 class TestSumTest:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbdetect.errors import DegenerateModelError, DomainError, ValidationError
+from dbdetect.exponents import centered_kernel
 from dbdetect.models import (
     DatabasePair,
     DiscreteJointModel,
@@ -22,13 +23,17 @@ from dbdetect.models import (
 )
 
 from helpers import (
+    BAD_OBSERVATIONS,
+    bad_observation,
     bern55,
     diag_model,
     gauss,
     gauss_expect_2d,
     gauss_llr_values,
+    gaussian_pair_llr_matrix,
     independent_model,
     random_discrete_model,
+    with_bad_entry,
 )
 
 
@@ -123,13 +128,26 @@ class TestLLR:
     def test_diag_example(self):
         assert llr(diag_model(), 0, 0) == pytest.approx(math.log(1.6), abs=1e-12)
 
-    def test_outside_support(self):
-        with pytest.raises(DomainError):
-            llr(diag_model(), 0, 2)
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("side", ["x", "y"])
+    @pytest.mark.parametrize(
+        "entry,shape",
+        [(llr, ()), (centered_kernel, ()), (pair_llr, (3,)), (pair_llr_matrix, (4, 3))],
+        ids=["llr", "centered_kernel", "pair_llr", "pair_llr_matrix"],
+    )
+    @pytest.mark.parametrize("case", list(BAD_OBSERVATIONS))
+    def test_outside_support(self, case, entry, shape, side):
+        """A value outside the model's observation contract, on either side,
+        raises the contract's one DomainError from every entry point."""
+        model, bad, message = bad_observation(case)
+        data = {"x": np.zeros(shape), "y": np.zeros(shape)}
+        data[side] = bad if shape == () else with_bad_entry(bad, shape)
+        with pytest.raises(DomainError) as err:
+            entry(model, data["x"], data["y"])
+        assert str(err.value) == message
+
+    def test_zero_probability_cell(self):
+        with pytest.raises(DomainError, match="zero-probability cell"):
             llr(make_bernoulli(1.0, 0.5), 0, 1)
-        with pytest.raises(DomainError):
-            llr(gauss(0.5), float("inf"), 0.0)
 
     def test_normalization_discrete_exact(self):
         rng = np.random.default_rng(5)
@@ -176,6 +194,16 @@ class TestPairLLR:
         for i in range(4):
             for j in range(5):
                 assert c[i, j] == pytest.approx(pair_llr(model, x[i], y[j]), rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.25, 0.5, 0.75, 0.95])
+    def test_gaussian_matrix_bits(self, rho):
+        """The Gaussian matrix keeps its operation order, bit for bit."""
+        rng = np.random.default_rng(17)
+        for n, d in [(1, 1), (7, 3), (100, 10), (100, 100), (50, 333)]:
+            x = rng.standard_normal((n, d))
+            y = rng.standard_normal((n, d))
+            c = pair_llr_matrix(gauss(rho), x, y)
+            assert np.array_equal(c, gaussian_pair_llr_matrix(rho, x, y))
 
     def test_matrix_matches_scalar_discrete(self):
         rng = np.random.default_rng(12)
