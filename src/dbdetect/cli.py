@@ -73,23 +73,29 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+# each run-setting flag's argparse dest, and the TrialPlan field it gives
+_PLAN_FIELDS = {
+    "n": "n", "d": "d", "seed": "seed", "trials": "trials",
+    "detector": "detectors", "tau": "tau_glrt", "tau_sum": "tau_sum",
+    "tau_count": "tau_count", "pd_samples": "pd_samples",
+}
+
+
+def _settings(args) -> dict:
+    """The TrialPlan fields that flags of this subcommand gave."""
+    given = ((field, getattr(args, dest, None)) for dest, field in _PLAN_FIELDS.items())
+    return {field: value for field, value in given if value is not None}
+
+
 def cmd_detect(args) -> int:
     model = cfg.load_model(args.model)
     x = observations(model, cfg.read_matrix_csv(args.x))
     y = observations(model, cfg.read_matrix_csv(args.y))
     pair = DatabasePair(x=x, y=y)
-    plan = experiments.TrialPlan(
-        model=model,
-        n=pair.n,
-        d=pair.d,
-        # None without --seed: only a monte-carlo pd needs one, and says so
-        seed=args.seed,
-        detectors=tuple(args.detector),
-        tau_glrt=args.tau,
-        tau_sum=args.tau_sum,
-        tau_count=cfg.tau_count_setting(model, args.tau_count, "--tau-count"),
-        pd_samples=args.pd_samples,
-    )
+    settings = cfg.flag_settings(model, _settings(args))
+    # None without --seed: only a monte-carlo pd needs one, and says so
+    settings.setdefault("seed", None)
+    plan = experiments.TrialPlan(model=model, n=pair.n, d=pair.d, **settings)
     plans = experiments.count_plans(plan, (model,))
     cache = PairCache(model, pair)
     verdicts = [
@@ -105,46 +111,30 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _plan_from_args(args, need_sweep: bool):
-    overrides = {
-        "n": args.n,
-        "d": args.d,
-        "seed": args.seed,
-        "trials": args.trials,
-        "detectors": args.detector or None,
-        "tau_glrt": args.tau,
-        "tau_sum": args.tau_sum,
-        "tau_count": args.tau_count,
-        "pd_samples": args.pd_samples,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    plan = cfg.load_plan(args.plan, overrides)
-    if need_sweep and plan.sweep is None:
-        raise ValidationError("the plan has no [sweep] section")
-    return plan
-
-
-def _emit_estimates(estimates, fmt: str, out) -> None:
+def _emit_table(columns, rows, fmt: str, out) -> None:
+    """``rows`` of values, one per ``columns``, as CSV or as JSON records."""
     if fmt == "json":
-        _write_output(
-            _json_dumps([experiments.estimate_to_dict(e) for e in estimates]), out
-        )
+        _write_output(_json_dumps([dict(zip(columns, row)) for row in rows]), out)
     else:
-        _write_output(experiments.estimates_to_csv(estimates), out)
+        _write_output(experiments.csv_text(columns, rows), out)
 
 
 def cmd_risk(args) -> int:
-    plan = _plan_from_args(args, need_sweep=False)
+    plan = cfg.load_plan(args.plan, _settings(args))
     estimates = experiments.estimate_risk(plan, threads=args.threads)
-    _emit_estimates(estimates, args.format, args.out)
+    rows = [experiments.estimate_to_dict(e).values() for e in estimates]
+    _emit_table(experiments.CSV_COLUMNS, rows, args.format, args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    plan = _plan_from_args(args, need_sweep=True)
+    plan = cfg.load_plan(args.plan, _settings(args))
+    if plan.sweep is None:
+        raise ValidationError("the plan has no [sweep] section")
     errors: list = []
     estimates = experiments.sweep(plan, threads=args.threads, error_sink=errors)
-    _emit_estimates(estimates, args.format, args.out)
+    rows = [experiments.estimate_to_dict(e).values() for e in estimates]
+    _emit_table(experiments.CSV_COLUMNS, rows, args.format, args.out)
     for record in errors:
         print(
             f"warning: sweep point param={record.param} n={record.n} "
@@ -158,13 +148,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_bounds(args) -> int:
     model = cfg.load_model(args.model)
-    report = experiments.bound_report(
-        model,
-        args.n,
-        args.d,
-        tau_glrt=args.tau,
-        tau_count=cfg.tau_count_setting(model, args.tau_count, "--tau-count"),
-    )
+    settings = cfg.flag_settings(model, _settings(args))
+    report = experiments.bound_report(model, **settings)
     _write_output(_json_dumps(report), args.out)
     return EXIT_OK
 
@@ -195,11 +180,7 @@ def cmd_chernoff(args) -> int:
         rq = chernoff_exponent(model, theta, side="Q")
         rp = chernoff_exponent(model, theta, side="P")
         rows.append((theta, rq.value, rp.value, rq.argmax_lambda))
-    if args.format == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
-        _write_output(_json_dumps(payload), args.out)
-    else:
-        _write_output(experiments.csv_text(columns, rows), args.out)
+    _emit_table(columns, rows, args.format, args.out)
     return EXIT_OK
 
 
@@ -231,17 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_plan_options(p):
-        p.add_argument("--plan", required=True, help="plan file")
-        p.add_argument("--n", type=int, help="override the plan's n")
-        p.add_argument("--d", type=int, help="override the plan's d")
-        p.add_argument("--seed", type=int, help="override the plan's seed")
-        p.add_argument("--trials", type=int, help="override the plan's trials")
+    # the run-setting flags carry no defaults: a setting no flag gives comes
+    # from the plan file, else from TrialPlan (bound_report, for bounds)
+    def add_detector_options(p, required: bool):
         p.add_argument(
             "--detector",
             action="append",
+            required=required,
             choices=list(experiments.DETECTORS),
-            help="detector to run (repeatable; overrides the plan)",
+            help="detector to run (repeatable; overrides a plan's list)",
         )
         p.add_argument("--tau", type=float, help="scan-test threshold")
         p.add_argument("--tau-sum", type=float, help="sum-test threshold override")
@@ -249,6 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--tau-count", help="count-test per-pair level (number or 'half-kl')"
         )
         p.add_argument("--pd-samples", type=int)
+
+    def add_plan_options(p):
+        p.add_argument("--plan", required=True, help="plan file")
+        p.add_argument("--n", type=int, help="override the plan's n")
+        p.add_argument("--d", type=int, help="override the plan's d")
+        p.add_argument("--seed", type=int, help="override the plan's seed")
+        p.add_argument("--trials", type=int, help="override the plan's trials")
+        add_detector_options(p, required=False)
         p.add_argument(
             "--threads",
             type=int,
@@ -280,18 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--x", required=True, help="CSV matrix of X observations")
     p.add_argument("--y", required=True, help="CSV matrix of Y observations")
-    p.add_argument(
-        "--detector",
-        action="append",
-        required=True,
-        choices=list(experiments.DETECTORS),
-    )
-    p.add_argument("--tau", type=float, default=0.0, help="scan-test threshold")
-    p.add_argument("--tau-sum", type=float, help="sum-test threshold override")
-    p.add_argument(
-        "--tau-count", help="count-test per-pair level (number or 'half-kl')"
-    )
-    p.add_argument("--pd-samples", type=int, default=1_000_000)
+    add_detector_options(p, required=True)
     p.add_argument("--seed", type=int, help="seed for monte-carlo pd estimation")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
@@ -309,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--tau-count", default="half-kl")
+    p.add_argument("--tau", type=float)
+    p.add_argument("--tau-count")
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)

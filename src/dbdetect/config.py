@@ -64,10 +64,10 @@ class ConfigSource:
     def error(self, key: str, section: str, message: str) -> ValidationError:
         return ValidationError(f"{self.location(key, section)}: {message}")
 
-    def get(self, key: str, section: str = "", default=None):
+    def get(self, key: str, section: str = ""):
         self.read.add((section, key))
         value = self.section(section).get(key)
-        return value.raw if value is not None else default
+        return value.raw if value is not None else None
 
     def require(self, key: str, section: str = "") -> str:
         raw = self.get(key, section)
@@ -78,20 +78,20 @@ class ConfigSource:
             )
         return raw
 
-    def _get_as(self, cast, what: str, key: str, section: str, default):
+    def _get_as(self, cast, what: str, key: str, section: str):
         raw = self.get(key, section)
         if raw is None:
-            return default
+            return None
         try:
             return cast(raw)
         except ValueError:
             raise self.error(key, section, f"{key} must be {what}, got {raw!r}")
 
-    def get_float(self, key: str, section: str = "", default=None):
-        return self._get_as(float, "a number", key, section, default)
+    def get_float(self, key: str, section: str = ""):
+        return self._get_as(float, "a number", key, section)
 
-    def get_int(self, key: str, section: str = "", default=None):
-        return self._get_as(int, "an integer", key, section, default)
+    def get_int(self, key: str, section: str = ""):
+        return self._get_as(int, "an integer", key, section)
 
 
 def parse_config(path: str) -> ConfigSource:
@@ -206,32 +206,40 @@ def tau_count_setting(model: JointModel, raw, where: str):
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def load_plan(path: str, overrides: Optional[dict] = None) -> TrialPlan:
+def flag_settings(model: JointModel, flags: dict) -> dict:
+    """``flags``, the run settings given on the command line by TrialPlan
+    field, with a ``--tau-count`` level checked for ``model``."""
+    if "tau_count" not in flags:
+        return dict(flags)
+    tau_count = tau_count_setting(model, flags["tau_count"], "--tau-count")
+    return {**flags, "tau_count": tau_count}
+
+
+def load_plan(path: str, flags: Optional[dict] = None) -> TrialPlan:
     """Read a plan file: a [model] section, a [run] section, and an optional
-    [sweep] section with value lists.  ``overrides`` (from CLI flags) replace
-    scalar run keys; the file's keys are read and checked either way."""
+    [sweep] section with value lists.  ``flags`` (TrialPlan fields given on
+    the command line) replace the run keys they name; the file's keys are
+    read and checked either way, and a setting neither gives takes
+    TrialPlan's default."""
     source = parse_config(path)
     model = _model_from_section(source, "model" if source.section("model") else "")
     run = "run" if source.section("run") else ""
-    overrides = overrides or {}
-
-    def pick(key, getter, default=None):
-        value = getter(key, run, default)
-        return value if overrides.get(key) is None else overrides[key]
-
-    detectors_raw = pick("detectors", source.get)
-    tau_count = tau_count_setting(
-        model, source.get("tau_count", run), source.location("tau_count", run)
-    )
-    if overrides.get("tau_count") is not None:
-        tau_count = tau_count_setting(model, overrides["tau_count"], "--tau-count")
-    n = pick("n", source.get_int)
-    d = pick("d", source.get_int)
-    seed = pick("seed", source.get_int)
-    trials = pick("trials", source.get_int, 2000)
-    tau_glrt = pick("tau_glrt", source.get_float, 0.0)
-    tau_sum = pick("tau_sum", source.get_float)
-    pd_samples = pick("pd_samples", source.get_int, 1_000_000)
+    detectors = source.get("detectors", run)
+    settings = {
+        "detectors": detectors and detectors.replace(",", " ").split(),
+        "tau_count": tau_count_setting(
+            model, source.get("tau_count", run), source.location("tau_count", run)
+        ),
+        "n": source.get_int("n", run),
+        "d": source.get_int("d", run),
+        "seed": source.get_int("seed", run),
+        "trials": source.get_int("trials", run),
+        "tau_glrt": source.get_float("tau_glrt", run),
+        "tau_sum": source.get_float("tau_sum", run),
+        "pd_samples": source.get_int("pd_samples", run),
+    }
+    settings = {key: value for key, value in settings.items() if value is not None}
+    settings.update(flag_settings(model, flags or {}))
 
     def sweep_values(key, cast):
         raw = source.get(key, "sweep")
@@ -247,29 +255,13 @@ def load_plan(path: str, overrides: Optional[dict] = None) -> TrialPlan:
         )
     source.reject_unread()
 
-    if detectors_raw is None:
+    if "detectors" not in settings:
         raise ValidationError(f"{path}: missing required key 'detectors' in [run]")
-    if isinstance(detectors_raw, str):
-        detectors = tuple(detectors_raw.replace(",", " ").split())
-    else:
-        detectors = tuple(detectors_raw)
-    if n is None or d is None:
+    if "n" not in settings or "d" not in settings:
         raise ValidationError(f"{path}: plan needs n and d in [run] (or --n/--d)")
-    if seed is None:
+    if "seed" not in settings:
         raise ValidationError(f"{path}: plan needs a seed in [run] (or --seed)")
-    return TrialPlan(
-        model=model,
-        n=int(n),
-        d=int(d),
-        trials=int(trials),
-        seed=int(seed),
-        detectors=detectors,
-        tau_glrt=float(tau_glrt),
-        tau_sum=tau_sum,
-        tau_count=tau_count,
-        pd_samples=int(pd_samples),
-        sweep=sweep_grid,
-    )
+    return TrialPlan(model=model, sweep=sweep_grid, **settings)
 
 
 # ---------------------------------------------------------------------------

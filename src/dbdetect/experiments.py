@@ -18,7 +18,6 @@ import ctypes
 import functools
 import itertools
 import math
-import mmap
 import numbers
 import os
 import threading
@@ -34,6 +33,7 @@ from . import spectral
 # here; they stay importable from this module, where
 # perfbench/worker.py::ENTRY_POINTS rebinds them
 from .detectors import (  # noqa: F401
+    PD_SAMPLES,
     TAU_COUNT_HALF_KL,
     CountPlans,
     PairCache,
@@ -42,6 +42,7 @@ from .detectors import (  # noqa: F401
     PreparedGlrt,
     PreparedNpOracle,
     PreparedSum,
+    _mapped_stack,
     count_test,
     glrt,
     make_count_plan,
@@ -108,6 +109,9 @@ class SweepGrid:
 
 @dataclass(frozen=True, eq=False)
 class TrialPlan:
+    """A Monte-Carlo run's settings, whose defaults are stated here alone:
+    the command line and plan files pass on only the settings they give."""
+
     model: JointModel
     n: int
     d: int
@@ -117,10 +121,11 @@ class TrialPlan:
     tau_glrt: float = 0.0
     tau_sum: Optional[float] = None
     tau_count: object = None  # float or TAU_COUNT_HALF_KL
-    pd_samples: int = 1_000_000
+    pd_samples: int = PD_SAMPLES
     sweep: Optional[SweepGrid] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "detectors", tuple(self.detectors))
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.pd_samples < 1:
@@ -322,18 +327,6 @@ def _trial_blocks(trials: int, workers: int, cap: int) -> list[range]:
     count = 1 if workers == 1 else workers * BLOCKS_PER_WORKER
     size = max(1, min(-(-trials // count), cap))
     return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-
-
-def _mapped_stack(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 array of ``shape`` in an anonymous memory map
-    of its own.  The allocator's heap then never holds it, and its pages go
-    back to the system when it is freed.  Allocated on the heap, the 1.3 MB
-    stacks of the benchmark's ``mc-scan`` points, each freed amid the small
-    arrays of a solve, left about 2 MB of free but untrimmed heap behind:
-    peak RSS 44.4 MB over 60 rounds, against 42.3 MB mapped."""
-    count = math.prod(shape)
-    buffer = mmap.mmap(-1, max(1, 8 * count))
-    return np.frombuffer(buffer, dtype=np.float64, count=count).reshape(shape)
 
 
 def _point_records(

@@ -1,6 +1,7 @@
 """Command-line interface: formats, round trips, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from dbdetect.cli import build_parser, main
+from dbdetect.cli import _json_dumps, build_parser, main
 from dbdetect.config import (
     load_model,
     load_plan,
@@ -446,6 +447,103 @@ class TestPlans:
         assert f"n={NP_ORACLE_MAX_N + 1}" in err
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2  # header + the surviving n=4 row
+
+
+SETTINGS_PLAN = """[model]
+kind = gaussian
+rho = 0.6
+
+[run]
+n = 6
+d = 5
+seed = 11
+trials = 40
+tau_glrt = 0.25
+tau_sum = 1.5
+tau_count = half-kl
+pd_samples = 2000
+detectors = sum count
+"""
+
+# TrialPlan field: (its plan line, the value it gives, a flag, the flag's value)
+SETTINGS = {
+    "n": ("n = 6", 6, ["--n", 9], 9),
+    "d": ("d = 5", 5, ["--d", 3], 3),
+    "seed": ("seed = 11", 11, ["--seed", 4], 4),
+    "trials": ("trials = 40", 40, ["--trials", 7], 7),
+    "tau_glrt": ("tau_glrt = 0.25", 0.25, ["--tau", 0.5], 0.5),
+    "tau_sum": ("tau_sum = 1.5", 1.5, ["--tau-sum", 2.5], 2.5),
+    "tau_count": ("tau_count = half-kl", "half-kl", ["--tau-count", "0.1"], 0.1),
+    "pd_samples": ("pd_samples = 2000", 2000, ["--pd-samples", 300], 300),
+    "detectors": (
+        "detectors = sum count", ("sum", "count"),
+        ["--detector", "glrt", "--detector", "count"], ("glrt", "count"),
+    ),
+}
+# the error when a setting that a plan must give has neither key nor flag
+REQUIRED_SETTINGS = {
+    "n": "plan needs n and d",
+    "d": "plan needs n and d",
+    "seed": "plan needs a seed",
+    "detectors": "missing required key 'detectors'",
+}
+
+
+class TestSettingSources:
+    """A run setting comes from its flag, else from its plan key, else from
+    TrialPlan's default, and detect and bounds take only the flags given."""
+
+    @pytest.mark.parametrize("field", SETTINGS)
+    def test_flag_over_plan_over_default(self, tmp_path, monkeypatch, capsys, field):
+        line, file_value, flag, flag_value = SETTINGS[field]
+        plans = []
+
+        def capture(plan, threads):
+            plans.append(plan)
+            return []
+
+        monkeypatch.setattr(experiments, "estimate_risk", capture)
+        path = tmp_path / "plan.txt"
+
+        def risk_setting(*flags):
+            assert run_cli("risk", "--plan", path, *flags) == 0
+            return getattr(plans.pop(), field)
+
+        path.write_text(SETTINGS_PLAN)
+        assert risk_setting() == file_value
+        assert risk_setting(*flag) == flag_value
+        path.write_text(SETTINGS_PLAN.replace(line + "\n", ""))
+        if field in REQUIRED_SETTINGS:
+            assert run_cli("risk", "--plan", path) == 1
+            assert REQUIRED_SETTINGS[field] in capsys.readouterr().err
+            assert risk_setting(*flag) == flag_value
+        else:
+            (default,) = (
+                f.default for f in dataclasses.fields(experiments.TrialPlan)
+                if f.name == field
+            )
+            assert risk_setting() == default
+
+    def test_detect_needs_a_detector(self, model_file, tmp_path, capsys):
+        pair = sample_alt(load_model(model_file(GAUSS_MODEL)), 6, 4, seed=13)
+        write_matrix_csv(str(tmp_path / "X.csv"), pair.x)
+        write_matrix_csv(str(tmp_path / "Y.csv"), pair.y)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("detect", "--model", model_file(GAUSS_MODEL),
+                    "--x", tmp_path / "X.csv", "--y", tmp_path / "Y.csv")
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --detector" in err
+
+    def test_bounds_without_thresholds_is_the_report_default(
+        self, model_file, tmp_path
+    ):
+        path = model_file(GAUSS_MODEL)
+        out = tmp_path / "bounds.json"
+        assert run_cli("bounds", "--model", path, "--n", 6, "--d", 3, "--out", out) == 0
+        report = experiments.bound_report(load_model(path), 6, 3)
+        assert report["glrt"] is not None and report["count"] is not None
+        assert out.read_text() == _json_dumps(report)
 
 
 class TestExitCodes:
