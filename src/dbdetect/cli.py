@@ -97,7 +97,7 @@ def cmd_detect(args) -> int:
     settings.setdefault("seed", None)
     plan = experiments.TrialPlan(model=model, n=pair.n, d=pair.d, **settings)
     plans = experiments.count_plans(plan, (model,))
-    cache = PairCache(model, pair)
+    cache = PairCache(model, pair.x, pair.y)
     verdicts = [
         detector.verdict(pair, cache)
         for detector in experiments.prepare(model, pair.n, pair.d, plan, plans)

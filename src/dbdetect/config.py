@@ -18,7 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import TAU_COUNT_HALF_KL, SweepGrid, TrialPlan, resolve_tau_count
+from .experiments import (
+    TAU_COUNT_HALF_KL,
+    SweepGrid,
+    TrialPlan,
+    check_setting,
+    resolve_tau_count,
+)
 from .models import (
     DiscreteJointModel,
     GaussianModel,
@@ -239,6 +245,11 @@ def load_plan(path: str, flags: Optional[dict] = None) -> TrialPlan:
         "pd_samples": source.get_int("pd_samples", run),
     }
     settings = {key: value for key, value in settings.items() if value is not None}
+    for key, value in settings.items():
+        try:
+            check_setting(key, value)
+        except ValidationError as exc:
+            raise source.error(key, run, str(exc)) from None
     settings.update(flag_settings(model, flags or {}))
 
     def sweep_values(key, cast):

@@ -99,22 +99,25 @@ def _require_usable(model: JointModel, operation: str) -> None:
 
 
 class PairCache:
-    """What the detectors share about one dataset pair: its all-pairs LLR
-    matrix, computed on first use and checked to be finite.
+    """What the detectors share about one dataset pair, or a stack of them:
+    the databases ``x`` and ``y``, of shape ``(n, d)`` or ``(..., n, d)``,
+    and their all-pairs LLR matrices, computed on first use by one
+    ``pair_llr_matrix`` call and checked to be finite once.
 
-    A caller that runs several detectors on the same pair passes one cache
-    to each of them, so the matrix is computed once per pair."""
+    A caller that runs several detectors on the same pairs passes one cache
+    to each of them, so the matrices are computed once."""
 
-    __slots__ = ("model", "pair", "_llr")
+    __slots__ = ("model", "x", "y", "_llr")
 
-    def __init__(self, model: JointModel, pair: DatabasePair):
+    def __init__(self, model: JointModel, x: np.ndarray, y: np.ndarray):
         self.model = model
-        self.pair = pair
+        self.x = x
+        self.y = y
         self._llr: Optional[np.ndarray] = None
 
     def llr(self) -> np.ndarray:
         if self._llr is None:
-            c = pair_llr_matrix(self.model, self.pair.x, self.pair.y)
+            c = pair_llr_matrix(self.model, self.x, self.y)
             if not np.all(np.isfinite(c)):
                 raise ValidationError(
                     "non-finite log-likelihood entry in the pair matrix"
@@ -137,18 +140,19 @@ class PreparedDetector:
     work that does not depend on the pair done once: model checks,
     constants, and the threshold.
 
-    ``evaluate(pair, cache)`` returns the statistic of a pair drawn by the
-    risk harness, trusting its data, and the decision is ``statistic >=
-    cut`` (ties decide "dependent").  A *stacked* detector (the scan test
-    and the mixture oracle) is evaluated a block of trials at a time
-    instead: ``evaluate_stack(llr)`` takes the block's ``(trials, 2, n, n)``
-    stack of pair LLR matrices, which all the stacked detectors of a point
-    share, and returns the ``(trials, 2)`` statistics, each that of its pair
-    alone.  ``threshold`` is the threshold as verdicts and risk rows report
-    it.  ``verdict(pair, cache)`` checks the pair's data and returns the
-    public detector's :class:`Verdict`.  A threshold that needs work of its
-    own (the count test's ``pd``) is ``None`` until ``settle()`` computes
-    it."""
+    The risk harness evaluates a block of pairs at a time, trusting their
+    data, and decides ``statistic >= cut`` (ties decide "dependent").
+    ``evaluate_block(cache)`` returns the statistics of the stack of pairs
+    in a :class:`PairCache`, one per pair of its lead shape, each that of
+    its pair alone.  A *stacked* detector (the scan test and the mixture
+    oracle) is evaluated on a larger stack instead: ``evaluate_stack(llr)``
+    takes a work unit's ``(trials, 2, n, n)`` stack of pair LLR matrices,
+    which all the stacked detectors of a point share, and returns the
+    ``(trials, 2)`` statistics.  ``threshold`` is the threshold as verdicts
+    and risk rows report it.  ``verdict(pair, cache)`` checks the pair's
+    data and returns the public detector's :class:`Verdict`.  A threshold
+    that needs work of its own (the count test's ``pd``) is ``None`` until
+    ``settle()`` computes it."""
 
     name: str
     model: JointModel
@@ -159,7 +163,7 @@ class PreparedDetector:
     def settle(self) -> float:
         return self.cut
 
-    def evaluate(self, pair: DatabasePair, cache: PairCache) -> float:
+    def evaluate_block(self, cache: PairCache) -> np.ndarray:
         raise NotImplementedError
 
     def measure(self, pair: DatabasePair, cache: PairCache) -> tuple[float, float, dict]:
@@ -173,7 +177,7 @@ class PreparedDetector:
     ) -> Verdict:
         cut = self.settle()
         value, statistic, aux = self.measure(
-            pair, cache if cache is not None else PairCache(self.model, pair)
+            pair, cache if cache is not None else PairCache(self.model, pair.x, pair.y)
         )
         return Verdict(
             decision=int(value >= cut),
@@ -213,25 +217,30 @@ class PreparedGlrt(PreparedDetector):
         return statistic, float(statistic), {"sigma": sigma}
 
 
-def _sum_statistic(table, c2, x: np.ndarray, y: np.ndarray) -> float:
+def _sum_statistics(table, c2, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Grand sum of the centered kernel over all (row_x, row_y, feature)
-    triples, unnormalised.
+    triples, unnormalised, of each pair of the ``(..., n, d)`` stacks x and
+    y: an array of their lead shape.
 
     Gaussian (``c2 = rho/(1-rho^2)``): c2 times the sum of all entries of
-    x y^T, computed from the feature-wise column sums.  Discrete: an exact
-    contraction of the per-feature symbol counts against the centered-kernel
-    ``table``.
+    x y^T, from the feature-wise column sums, each pair's two taken as one
+    BLAS dot (``vecdot`` makes the dot a single pair's ``@`` makes).
+    Discrete: an exact contraction of each pair's per-feature symbol counts
+    against the centered-kernel ``table``.
     """
     if c2 is not None:
-        return float(c2 * (x.sum(axis=0) @ y.sum(axis=0)))
+        return c2 * np.vecdot(x.sum(axis=-2), y.sum(axis=-2))
+    lead, d = x.shape[:-2], x.shape[-1]
     m = table.shape[0]
-    counts_x = np.stack([(x == a).sum(axis=0) for a in range(m)], axis=1).astype(
-        np.float64
-    )
-    counts_y = np.stack([(y == b).sum(axis=0) for b in range(m)], axis=1).astype(
-        np.float64
-    )
-    return float(np.einsum("la,ab,lb->", counts_x, table, counts_y))
+
+    def counts(v):
+        per_symbol = [(v == a).sum(axis=-2) for a in range(m)]
+        return np.stack(per_symbol, axis=-1).astype(np.float64).reshape(-1, d, m)
+
+    pairs = zip(counts(x), counts(y))
+    return np.array(
+        [np.einsum("la,ab,lb->", cx, table, cy) for cx, cy in pairs]
+    ).reshape(lead)
 
 
 class PreparedSum(PreparedDetector):
@@ -261,13 +270,13 @@ class PreparedSum(PreparedDetector):
         self.threshold = self.cut = require_number(tau, "tau")
         self._table, self._c2 = _centered_table_and_c2(model)
 
-    def evaluate(self, pair, cache):
-        return _sum_statistic(self._table, self._c2, pair.x, pair.y)
+    def evaluate_block(self, cache):
+        return _sum_statistics(self._table, self._c2, cache.x, cache.y)
 
     def measure(self, pair, cache):
         x = observations(self.model, pair.x)
         y = observations(self.model, pair.y)
-        statistic = _sum_statistic(self._table, self._c2, x, y)
+        statistic = float(_sum_statistics(self._table, self._c2, x, y))
         return statistic, statistic, {}
 
 
@@ -312,11 +321,11 @@ class PreparedCount(PreparedDetector):
             self.plan = plan
         return self.cut
 
-    def evaluate(self, pair, cache):
-        return int(np.count_nonzero(cache.llr() >= self.level))
+    def evaluate_block(self, cache):
+        return (cache.llr() >= self.level).sum(axis=(-2, -1))
 
     def measure(self, pair, cache):
-        count = self.evaluate(pair, cache)
+        count = int(self.evaluate_block(cache))
         aux = {"count": count, "pd": self.plan.pd, "tau_count": self.plan.tau_count}
         return count, float(count), aux
 

@@ -5,10 +5,11 @@ The harness draws the hidden permutation uniformly per dependent trial, so it
 estimates the average risk; every detector in this package is invariant to
 row reordering, which makes average and worst-case Type-II errors coincide.
 Each trial draws its pairs from substreams keyed by (seed, hypothesis,
-point, trial), and trials run in contiguous blocks whose scan-test
-assignments and oracle permanents are each solved as one stack, every one
-exactly as if alone; so results are bit-identical across block sizes, thread
-counts and runs.
+point, trial), and trials run in contiguous blocks: a block draws its pairs
+and computes their LLR matrices in sub-blocks of stacked arrays, and solves
+its scan-test assignments and oracle permanents each as one stack, every
+one exactly as if alone; so results are bit-identical across block and
+sub-block sizes, thread counts and runs.
 """
 
 from __future__ import annotations
@@ -126,21 +127,29 @@ class TrialPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "detectors", tuple(self.detectors))
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.pd_samples < 1:
-            raise ValidationError(f"pd_samples must be >= 1, got {self.pd_samples}")
-        if not self.detectors:
+        for name in (
+            "trials", "pd_samples", "detectors", "tau_glrt", "tau_sum", "tau_count"
+        ):
+            check_setting(name, getattr(self, name))
+
+
+def check_setting(name: str, value) -> None:
+    """Raise ``ValidationError`` for a run setting out of its range: trials
+    or pd_samples below 1, no detector or an unknown one, a NaN threshold.
+    :class:`TrialPlan` checks its fields here, and a plan file each key's
+    value, so that the error can name the key's line."""
+    if name in ("trials", "pd_samples") and value < 1:
+        raise ValidationError(f"{name} must be >= 1, got {value}")
+    if name == "detectors":
+        if not value:
             raise ValidationError("at least one detector is required")
-        for name in self.detectors:
-            if name not in DETECTORS:
+        for detector in value:
+            if detector not in DETECTORS:
                 raise ValidationError(
-                    f"unknown detector {name!r}; choose from {tuple(DETECTORS)}"
+                    f"unknown detector {detector!r}; choose from {tuple(DETECTORS)}"
                 )
-        for name in ("tau_glrt", "tau_sum", "tau_count"):
-            value = getattr(self, name)
-            if isinstance(value, numbers.Real):
-                require_number(value, name)
+    if name in ("tau_glrt", "tau_sum", "tau_count") and isinstance(value, numbers.Real):
+        require_number(value, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,6 +251,18 @@ BLOCKS_PER_WORKER = 4
 # of 16 up to 2.4x faster (README, "Assignment solver"), and the oracle's
 # 100 permanents at n = 8 take 3.6 ms against 21 ms one by one
 LLR_STACK_BYTES = 1 << 25
+# bytes of a sub-block's largest array: a block draws its pairs into (pairs,
+# n, d) slabs and computes their LLR matrices, (pairs, n, n), a sub-block at
+# a time, in one pair_llr_matrix call.  At n = 100 a sub-block is one pair,
+# so no array is larger than a single pair's: sub-blocks of 13 pairs there
+# (1 MiB) raised the peak RSS of the benchmark's mc-scan workload from
+# 42.3-42.8 to 49.5-51.1 MB, and of mc-sum-count from 71.7 to 77.8-79.6 MB.
+# The oracle point of the benchmark's exact workload (n = 8, d = 10, 100
+# pairs, 2-vCPU machine) took the same time in sub-blocks of 25 pairs (this
+# budget) as in one of 100, and 4 % longer in ones of 6; the workload's
+# peak RSS was 0.2-0.4 MB above the harness's with one call per pair at 25
+# pairs, 0.4-0.6 MB at 100
+SUB_BLOCK_BYTES = 1 << 14
 
 
 def point_workers(plan: TrialPlan, n: int, d: int, threads: int) -> int:
@@ -342,49 +363,66 @@ def _point_records(
     its decisions ``[hypothesis, detector, trial]``.
 
     The work units are contiguous blocks of trials (see
-    :func:`_trial_blocks`).  A block draws each trial's two pairs from the
-    trial's own substreams and records the statistics of the per-pair
-    detectors (sum, count) at once.  For the stacked detectors (scan test,
-    mixture oracle) it keeps each pair's LLR matrix in one ``(trials, 2, n,
+    :func:`_trial_blocks`).  A block derives the Philox keys of all its
+    trials' null and dependent streams at once (``rng.stream_keys``), and
+    takes its pairs in order, pair 2 t + h being trial t's under hypothesis
+    h, in sub-blocks whose arrays fit ``SUB_BLOCK_BYTES``.  Each pair is
+    drawn from one generator re-keyed to its stream (``rng.rekey``) into
+    the sub-block's ``(pairs, n, d)`` slabs, whose LLR matrices one
+    ``pair_llr_matrix`` call computes, when a detector reads them; the sum
+    and count statistics of the whole sub-block are then read from its
+    slabs and matrices.  For the stacked detectors (scan test, mixture
+    oracle) the block keeps every pair's LLR matrix in one ``(trials, 2, n,
     n)`` stack, of at most ``LLR_STACK_BYTES``, which each of them evaluates
-    in one call once the block's trials are drawn; it holds no other pair or
-    cache of past trials.  A threshold that needs work of its own (the count
+    in one call once the block's trials are drawn; it holds no other pair
+    of past sub-blocks.  A threshold that needs work of its own (the count
     test's pd plan, a Monte-Carlo estimate for Gaussian models) is settled
     by the first work units of the same pool as the blocks, so it runs while
     they do, and the decisions ``statistic >= cut`` are taken once all units
     are in.  A plan that fails, or whose pd makes the threshold vacuous,
     raises before any trial's error.  The pool has :func:`point_workers`
     threads, and while it has more than one, OpenBLAS is held to one thread.
-    Neither the blocks nor the workers change a statistic: every trial's
-    pairs and records are those it has alone."""
+    Neither the blocks, the sub-blocks nor the workers change a statistic:
+    every trial's pairs and records are those it has alone."""
     detectors = prepare(model, n, d, plan, plans)
-    pending = [det for det in dict.fromkeys(detectors) if det.cut is None]
-    stacked = [det for det in dict.fromkeys(detectors) if det.stacked]
-    per_pair = [(idx, det) for idx, det in enumerate(detectors) if not det.stacked]
-    k = len(detectors)
+    unique = list(dict.fromkeys(detectors))
+    pending = [det for det in unique if det.cut is None]
+    stacked = [det for det in unique if det.stacked]
+    samplers = (sample_null_rng, sample_alt_rng)
+    purposes = (rngmod.RISK_NULL, rngmod.RISK_ALT)
+    dtype = np.float64 if isinstance(model, GaussianModel) else np.int64
+    step = max(1, SUB_BLOCK_BYTES // (8 * n * max(n, d)))  # pairs per sub-block
 
     def run_unit(unit):
         if isinstance(unit, PreparedDetector):
             return unit.settle()
-        records = np.empty((len(unit), 2, k))  # [trial, hypothesis, detector]
-        llr = _mapped_stack((len(unit), 2, n, n)) if stacked else None
-        for t, trial in enumerate(unit):
-            rng0 = rngmod.substream(plan.seed, rngmod.RISK_NULL, point_index, trial)
-            pair0 = sample_null_rng(model, n, d, rng0)
-            rng1 = rngmod.substream(plan.seed, rngmod.RISK_ALT, point_index, trial)
-            pair1 = sample_alt_rng(model, n, d, rng1)
-            pairs = (pair0, pair1)
-            caches = (PairCache(model, pair0), PairCache(model, pair1))
-            for idx, det in per_pair:
-                for h in (0, 1):
-                    records[t, h, idx] = det.evaluate(pairs[h], caches[h])
+        keys = [
+            rngmod.stream_keys(plan.seed, (purpose, point_index), unit)
+            for purpose in purposes
+        ]
+        rng = np.random.Generator(np.random.Philox(key=keys[0][0]))
+        pairs = 2 * len(unit)
+        stats = {det: np.empty(pairs) for det in unique if not det.stacked}
+        llr = _mapped_stack((pairs, n, n)) if stacked else None
+        x = np.empty((min(step, pairs), n, d), dtype)
+        y = np.empty_like(x)
+        for lo in range(0, pairs, step):
+            size = min(step, pairs - lo)
+            for p in range(size):
+                trial, h = divmod(lo + p, 2)
+                pair = samplers[h](model, n, d, rngmod.rekey(rng, keys[h][trial]))
+                x[p], y[p] = pair.x, pair.y
+            cache = PairCache(model, x[:size], y[:size])
+            for det in stats:
+                stats[det][lo : lo + size] = det.evaluate_block(cache)
             if stacked:
-                for h in (0, 1):
-                    llr[t, h] = caches[h].llr()
+                llr[lo : lo + size] = cache.llr()
         for det in stacked:
-            cols = [idx for idx, other in enumerate(detectors) if other is det]
-            records[:, :, cols] = det.evaluate_stack(llr)[:, :, None]
-        return records
+            stats[det] = det.evaluate_stack(llr.reshape(len(unit), 2, n, n)).ravel()
+        # [trial, hypothesis, detector]
+        return np.stack([stats[det] for det in detectors], axis=-1).reshape(
+            len(unit), 2, -1
+        )
 
     workers = point_workers(plan, n, d, threads)
     cap = LLR_STACK_BYTES // (16 * n * n) if stacked else plan.trials

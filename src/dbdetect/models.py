@@ -108,6 +108,24 @@ class DiscreteJointModel:
         table[mask] = np.log(self.joint[mask]) - np.log(prod[mask])
         return _frozen_array(table)
 
+    @cached_property
+    def marginal_cdf(self) -> np.ndarray:
+        """CDF of the marginal q, its last entry exactly 1, for drawing
+        symbols by inversion."""
+        cdf = np.cumsum(self.marginal)
+        cdf[-1] = 1.0
+        return _frozen_array(cdf)
+
+    @cached_property
+    def conditional_cdf(self) -> np.ndarray:
+        """Row-wise CDF of Y given X = x; rows with q(x) = 0 are never drawn
+        (their joint rows are all zero, so the division guard is enough)."""
+        q = self.marginal
+        safe_q = np.where(q > 0, q, 1.0)
+        cdf = np.cumsum(self.joint / safe_q[:, None], axis=1)
+        cdf[q > 0, -1] = 1.0
+        return _frozen_array(cdf)
+
     def require_mutual_continuity(self, operation: str) -> None:
         if not self.mutually_absolutely_continuous:
             raise DegenerateModelError(
@@ -295,29 +313,43 @@ def pair_llr(model: JointModel, x_row, y_row) -> float:
 
 
 def pair_llr_matrix(model: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """All-pairs matrix C[i, j] = pair_llr(model, x[i], y[j]).
+    """All-pairs matrix C[i, j] = pair_llr(model, x[i], y[j]) of one pair of
+    databases, or of each pair of a stack: x and y of shape ``(..., n, d)``
+    give ``(..., n, n)``, each matrix bit for bit that of its pair alone.
 
-    Evaluated with dense linear algebra: one BLAS product for the Gaussian
-    quadratic form, or one product per alphabet cell for discrete models.
+    Evaluated with dense linear algebra: one BLAS product a pair for the
+    Gaussian quadratic form, or one a pair and alphabet cell for discrete
+    models.
     """
     if isinstance(model, DiscreteJointModel):
         model.require_mutual_continuity("pair_llr_matrix")
         model.require_positive_marginal("pair_llr_matrix")
     x = observations(model, x)
     y = observations(model, y)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ValidationError("x and y must be matrices with the same feature count")
+    if (
+        x.ndim < 2
+        or x.ndim != y.ndim
+        or x.shape[:-2] != y.shape[:-2]
+        or x.shape[-1] != y.shape[-1]
+    ):
+        raise ValidationError(
+            "x and y must be matrices, or stacks of them of one lead shape, "
+            "with the same feature count"
+        )
+    y_t = np.swapaxes(y, -1, -2)
     if isinstance(model, GaussianModel):
-        rx = np.einsum("ij,ij->i", x, x)
-        ry = np.einsum("ij,ij->i", y, y)
-        return _gaussian_llr(model.rho, x.shape[1], rx[:, None], ry[None, :], x @ y.T)
+        rx = np.einsum("...ij,...ij->...i", x, x)
+        ry = np.einsum("...ij,...ij->...i", y, y)
+        return _gaussian_llr(
+            model.rho, x.shape[-1], rx[..., :, None], ry[..., None, :], x @ y_t
+        )
     table = model.llr_table
-    out = np.zeros((x.shape[0], y.shape[0]))
+    out = np.zeros(x.shape[:-1] + y.shape[-2:-1])
     for a in range(model.alphabet_size):
         xa = (x == a).astype(np.float64)
         for b in range(model.alphabet_size):
-            yb = (y == b).astype(np.float64)
-            out += table[a, b] * (xa @ yb.T)
+            yb = (y_t == b).astype(np.float64)
+            out += table[a, b] * (xa @ yb)
     return out
 
 
@@ -326,26 +358,9 @@ def pair_llr_matrix(model: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _marginal_cdf(model: DiscreteJointModel) -> np.ndarray:
-    cdf = np.cumsum(model.marginal)
-    cdf[-1] = 1.0
-    return cdf
-
-
-def _conditional_cdf(model: DiscreteJointModel) -> np.ndarray:
-    """Row-wise CDF of Y given X = x; rows with q(x) = 0 are never drawn
-    (their joint rows are all zero, so the division guard is enough)."""
-    q = model.marginal
-    safe_q = np.where(q > 0, q, 1.0)
-    cdf = np.cumsum(model.joint / safe_q[:, None], axis=1)
-    cdf[q > 0, -1] = 1.0
-    return cdf
-
-
 def _draw_marginal(model: DiscreteJointModel, rng, shape) -> np.ndarray:
     u = rng.random(shape)
-    cdf = _marginal_cdf(model)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    return np.searchsorted(model.marginal_cdf, u, side="right").astype(np.int64)
 
 
 def sample_null_rng(
@@ -378,6 +393,7 @@ def sample_alt_rng(
     _check_dims(n, d)
     if sigma is None:
         sigma = rngmod.fisher_yates(rng, n)
+        sigma.setflags(write=False)
     else:
         sigma = validate_permutation(sigma, n)
     if isinstance(model, GaussianModel):
@@ -388,11 +404,14 @@ def sample_alt_rng(
     else:
         x = _draw_marginal(model, rng, (n, d))
         u = rng.random((n, d))
-        cond_cdf = _conditional_cdf(model)[x]  # (n, d, m)
+        cond_cdf = model.conditional_cdf[x]  # (n, d, m)
         paired = (cond_cdf <= u[..., None]).sum(axis=-1).astype(np.int64)
     y = np.empty_like(paired)
-    y[np.asarray(sigma)] = paired
-    return DatabasePair(x=x, y=y, hidden_sigma=sigma)
+    y[sigma] = paired
+    pair = DatabasePair(x=x, y=y)
+    # sigma is a permutation already, drawn or checked above
+    object.__setattr__(pair, "hidden_sigma", sigma)
+    return pair
 
 
 def sample_null(model: JointModel, n: int, d: int, seed: int) -> DatabasePair:

@@ -622,6 +622,31 @@ class TestExitCodes:
         assert run_cli(*args, "--tau-count", "abc") == 1
         assert capsys.readouterr().err == f"error: --tau-count: {message}\n"
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("trials = 40", "trials = 0", "trials must be >= 1, got 0"),
+            ("pd_samples = 4000", "pd_samples = 0", "pd_samples must be >= 1, got 0"),
+            ("detectors = sum count", "detectors = sum bogus",
+             "unknown detector 'bogus'; choose from "
+             "('glrt', 'sum', 'count', 'np-oracle')"),
+            ("seed = 11", "seed = 11\ntau_glrt = nan",
+             "tau_glrt must be a number, got nan"),
+        ],
+    )
+    def test_out_of_range_plan_value_names_its_line(
+        self, tmp_path, capsys, old, new, message
+    ):
+        """A plan value that parses but is out of range is reported at its
+        line, like a malformed one, even when a flag overrides it."""
+        text = PLAN_TEXT.replace(old, new)
+        path = tmp_path / "plan.txt"
+        path.write_text(text)
+        line = text.splitlines().index(new.splitlines()[-1]) + 1
+        for extra in ([], ["--trials", 2, "--detector", "sum", "--pd-samples", 100]):
+            assert run_cli("risk", "--plan", path, *extra) == 1
+            assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
     @pytest.mark.parametrize("flag", ["--tau", "--tau-sum", "--tau-count"])
     def test_nan_threshold_exits_1(self, model_file, tmp_path, capsys, flag):
         model_path = model_file(GAUSS_MODEL)

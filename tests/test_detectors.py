@@ -448,11 +448,23 @@ class TestCountTest:
         assert statistic == np.count_nonzero(llr >= d * tau)
         assert statistic == np.count_nonzero(llr / d >= tau) - 1
 
+    def test_entries_at_the_level_are_counted(self):
+        """An LLR entry exactly at the level d * tau_count counts (C >=
+        d * tau_count): at d = 1 a Bernoulli pair's entries are the table's
+        values themselves."""
+        model = make_bernoulli(0.6, 0.3)
+        tau = float(model.llr_table[1, 1])
+        pair = sample_null(model, 20, 1, seed=4)
+        llr = pair_llr_matrix(model, pair.x, pair.y)
+        plan = CountTestPlan(tau_count=tau, pd=0.5, pd_method="exact-convolution")
+        assert np.count_nonzero(llr == tau) > 0
+        assert count_test(model, pair, plan).statistic == np.count_nonzero(llr >= tau)
+
     def test_shared_cache_gives_same_verdicts(self):
         model = make_bernoulli(0.6, 0.3)
         plan = make_count_plan(model, d=12, tau_count=0.05)
         pair = sample_null(model, 9, 12, seed=4)
-        cache = PairCache(model, pair)
+        cache = PairCache(model, pair.x, pair.y)
         shared = (glrt(model, pair, cache=cache), count_test(model, pair, plan, cache))
         alone = (glrt(model, pair), count_test(model, pair, plan))
         for a, b in zip(shared, alone):

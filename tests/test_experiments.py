@@ -158,11 +158,13 @@ class TestEstimateRisk:
         assert [e.detector for e in results] == ["np-oracle", "glrt"]
 
     def test_one_llr_matrix_per_pair(self, monkeypatch):
-        calls = []
+        """The harness builds each pair's LLR matrix once, however many
+        detectors read it; a call builds one matrix per pair of its stack."""
+        built = []
         original = detectors.pair_llr_matrix
 
         def counting(model, x, y):
-            calls.append(1)
+            built.append(x.size // (x.shape[-2] * x.shape[-1]))
             return original(model, x, y)
 
         monkeypatch.setattr(detectors, "pair_llr_matrix", counting)
@@ -171,7 +173,7 @@ class TestEstimateRisk:
             detectors=("glrt", "count", "np-oracle", "glrt"), tau_count="half-kl",
         )
         estimate_risk(plan, threads=1)
-        assert len(calls) == 2 * plan.trials
+        assert sum(built) == 2 * plan.trials
 
 
 VACUOUS = (
@@ -278,6 +280,44 @@ class TestDeferredCountDecisions:
         assert est.threshold == 0.5 * plan.n * count_plan.pd
         assert est.fpr == float(np.mean(decisions[0]))
         assert est.fnr == float(1.0 - np.mean(decisions[1]))
+
+
+class TestSubBlocks:
+    """A block draws its pairs and computes their LLR matrices a sub-block
+    at a time; how many pairs a sub-block holds changes no statistic."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "model", [gauss(0.6), make_bernoulli(0.6, 0.3)], ids=["gaussian", "bernoulli"]
+    )
+    @pytest.mark.parametrize(
+        "names,n,d,trials",
+        [
+            (("glrt", "sum", "count", "np-oracle"), 6, 4, 9),
+            (("sum", "count"), 50, 100, 6),
+        ],
+        ids=["all-detectors", "pooled-sum-count"],
+    )
+    def test_statistics_bit_identical_across_sub_block_sizes(
+        self, model, names, n, d, trials, threads, monkeypatch, recording_pool
+    ):
+        """Every unit's statistics are the same bytes with one pair per
+        sub-block, one trial (two pairs) per sub-block and the whole unit in
+        one sub-block; the second plan pools its trials when it has two
+        threads."""
+        plan = TrialPlan(
+            model=model, n=n, d=d, trials=trials, seed=21, detectors=names,
+            tau_count="half-kl", pd_samples=2000,
+        )
+        runs = []
+        for budget in (1, 16 * n * max(n, d), 1 << 40):
+            monkeypatch.setattr(experiments, "SUB_BLOCK_BYTES", budget)
+            csv = estimates_to_csv(estimate_risk(plan, threads=threads))
+            (results,) = recording_pool["results"][-1:]
+            runs.append((csv, [np.asarray(unit).tobytes() for unit in results]))
+        assert runs[0] == runs[1] == runs[2]
+        workers = recording_pool["workers"][-1]
+        assert workers == (threads if names == ("sum", "count") else 1)
 
 
 def per_point_sweep(plan, threads):
