@@ -6,8 +6,8 @@ read or written, or any package error other than a capacity guard (bad
 input, or a broken internal invariant), 2 capacity error; see
 ``dbdetect.errors``.
 All stochastic subcommands are deterministic in --seed, and their outputs do
-not depend on the thread count (--threads caps it; the default is the
-available parallelism).
+not depend on the worker count (--threads caps the worker processes of
+risk and sweep; the default is the core count).
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             metavar="N",
-            help="at most N worker threads (default: all cores)",
+            help="at most N worker processes (default: all cores)",
         )
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", help="output path (default: stdout)")

@@ -435,9 +435,16 @@ def _mapped_stack(shape: tuple[int, ...]) -> np.ndarray:
     back to the system when it is freed.  Allocated on the heap, the 1.3 MB
     stacks of the benchmark's ``mc-scan`` points, each freed amid the small
     arrays of a solve, left about 2 MB of free but untrimmed heap behind:
-    peak RSS 44.4 MB over 60 rounds, against 42.3 MB mapped."""
+    peak RSS 44.4 MB over 60 rounds, against 42.3 MB mapped.  A map the
+    system refuses raises ``CapacityError``."""
     count = math.prod(shape)
-    buffer = mmap.mmap(-1, max(1, 8 * count))
+    try:
+        buffer = mmap.mmap(-1, max(1, 8 * count))
+    except OSError as exc:
+        raise CapacityError(
+            f"cannot map {8 * count} bytes for a {shape} float64 array: "
+            f"{exc.strerror or exc}"
+        ) from None
     return np.frombuffer(buffer, dtype=np.float64, count=count).reshape(shape)
 
 
@@ -543,18 +550,38 @@ class CountPlans:
             plan = CountTestPlan(tau, _exact_pd(model, d, tau), "exact-convolution")
             self.done[(model, d)] = plan
             return plan
-        group = [m for m in self.models if isinstance(m, GaussianModel)]
+        members, *rest = self.pd_pass(d)
+        self.store(members, d, _monte_carlo_pd(members, *rest))
+        return self.done[(model, d)]
+
+    def pd_pass(self, d: int):
+        """``(members, d, samples, seed)``, the arguments of the one
+        Monte-Carlo pass (see ``_monte_carlo_pd``) that gives the plans of
+        all the table's Gaussian models at d, or None when the table has no
+        Gaussian model or those plans are in.  The caller may run the pass
+        elsewhere and hand its estimates to :meth:`store`."""
+        if d < 1:
+            raise ValidationError(f"d must be >= 1, got {d}")
+        group = [
+            m for m in self.models
+            if isinstance(m, GaussianModel) and (m, d) not in self.done
+        ]
+        if not group:
+            return None
         members = [(m, resolve_tau_count(m, self.tau_count)) for m in group]
         if self.seed is None:
             raise ValidationError("monte-carlo pd estimation requires a seed")
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
-        estimates = _monte_carlo_pd(members, d, self.samples, self.seed)
+        return members, d, self.samples, self.seed
+
+    def store(self, members, d: int, estimates) -> None:
+        """Keep the plans of a pass's ``(model, tau_count)`` members at d,
+        from its ``(pd, stderr)`` estimates."""
         for (m, tau), (pd, stderr) in zip(members, estimates):
             self.done[(m, d)] = CountTestPlan(
                 tau, pd, "monte-carlo", stderr, self.samples, self.seed
             )
-        return self.done[(model, d)]
 
 
 def make_count_plan(

@@ -9,20 +9,20 @@ point, trial), and trials run in contiguous blocks: a block draws its pairs
 and computes their LLR matrices in sub-blocks of stacked arrays, and solves
 its scan-test assignments and oracle permanents each as one stack, every
 one exactly as if alone; so results are bit-identical across block and
-sub-block sizes, thread counts and runs.
+sub-block sizes, worker counts and runs.  Large points run their blocks in a
+pool of worker processes, small ones in process.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
+import atexit
 import functools
 import itertools
 import math
 import numbers
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,6 +44,7 @@ from .detectors import (  # noqa: F401
     PreparedNpOracle,
     PreparedSum,
     _mapped_stack,
+    _monte_carlo_pd,
     count_test,
     glrt,
     make_count_plan,
@@ -55,6 +56,7 @@ from .detectors import (  # noqa: F401
 from .errors import (
     CapacityError,
     DegenerateModelError,
+    DetectionError,
     ValidationError,
 )
 from .exponents import chernoff_exponent, kl_divergences, var_q_centered_kernel
@@ -189,6 +191,14 @@ def count_plans(plan: TrialPlan, models: Sequence[JointModel]) -> CountPlans:
     return CountPlans(models, plan.tau_count, plan.pd_samples, plan.seed)
 
 
+# bytes of the n x n arrays a risk point or a detect call may hold, checked
+# before its first draw: 8 n^2 for the LLR matrix that count, glrt and
+# np-oracle read, and 16 n^2 more for a block's smallest stack of the
+# stacked ones (one trial's two matrices).  The sum test reads no matrix.
+# 1 GiB admits count up to n = 11,585 and glrt up to n = 6,688
+LLR_MAX_BYTES = 1 << 30
+
+
 def prepare(
     model: JointModel, n: int, d: int, plan: TrialPlan, plans: CountPlans
 ) -> list[PreparedDetector]:
@@ -196,17 +206,28 @@ def prepare(
     order, from :data:`DETECTORS`; a name given twice shares one detector.
     The ``detect`` subcommand and the risk harness both bind detectors here.
     The count test takes its plan from ``plans`` when its threshold is
-    first settled."""
+    first settled.  Detectors whose LLR arrays would exceed
+    ``LLR_MAX_BYTES`` raise ``CapacityError``, by arithmetic alone."""
     prepared = {
         name: DETECTORS[name](model, n, d, plan, plans)
         for name in dict.fromkeys(plan.detectors)
     }
+    readers = [
+        name for name, det in prepared.items() if not isinstance(det, PreparedSum)
+    ]
+    matrices = bool(readers) + 2 * any(det.stacked for det in prepared.values())
+    if 8 * n * n * matrices > LLR_MAX_BYTES:
+        raise CapacityError(
+            f"{' and '.join(readers)} at n={n} would hold {8 * n * n * matrices} "
+            f"bytes of n x n LLR arrays, above the {LLR_MAX_BYTES}-byte guard"
+        )
     return [prepared[name] for name in plan.detectors]
 
 
 def thread_count(override: Optional[int] = None) -> int:
-    """The cap on a risk point's worker threads: ``override`` (at least 1),
-    else the core count.  A point may use fewer; see :func:`point_workers`."""
+    """The cap on a run's worker processes: ``override`` (at least 1), else
+    the core count.  A run uses at most as many as there are cores, and runs
+    its small points in process; see :data:`POOL_MIN_WORK`."""
     if override is None:
         return os.cpu_count() or 1
     if override < 1:
@@ -214,36 +235,43 @@ def thread_count(override: Optional[int] = None) -> int:
     return int(override)
 
 
-# Detectors whose trials hold the interpreter lock: the assignment solver's
-# sweeps and the permanent's subset DP are many small numpy calls.  Seconds
-# per point, 1 worker / 2 workers (median of 5, 2-vCPU machine, numpy
-# 2.4.6): glrt (Gaussian, d=10) n=100, 16 trials 0.10/0.25, n=300, 4 trials
-# 0.30/1.37; np-oracle+glrt (Bernoulli, n=8, d=10, 50 trials, with the
-# oracle's stacked DP) 0.016-0.017/0.026-0.060 over four runs.  Two workers
-# also split a point's LLR stack into eight blocks, which the lockstep
-# solver and the oracle's DP run slower than one stack.
-GIL_BOUND_DETECTORS = ("glrt", "np-oracle")
-# A trial's work outside the interpreter lock grows with the n x d databases
-# it draws and, for the count test, with the n x n x d LLR matrix product.
-# Below both sizes a second worker mostly waits for the lock.  Seconds per
-# Gaussian point (rho=0.25, min(600, 2e6 / (n d)) trials), 1 worker with
-# default BLAS threads / 2 workers with BLAS pinned, 2-vCPU Xeon, numpy
-# 2.4.6, median of 3.  The machine is shared and repeats of a cell varied by
-# up to a third, so each cut-off sits between cells that are clear on either
-# side: n d = 5000 between 3000 and 9000, n^2 d = 1.5e5 between count at
-# (n=100, d=10) and (n=300, d=2).
-#   sum     d=2        d=10       d=30       d=100
-#   n=100   0.20/0.18  0.26/0.26  0.35/0.36  0.27/0.18
-#   n=300   0.28/0.33  0.36/0.48  0.31/0.20  0.29/0.14
-#   n=1000  0.46/0.51  0.35/0.25  0.25/0.17  0.19/0.11
-#   count   d=2        d=10       d=30       d=100
-#   n=100   0.29/0.42  0.36/0.46  0.63/0.49  0.83/0.56
-#   n=300   1.21/0.81  1.47/0.94  0.86/0.48  0.88/0.54
-#   n=1000  10.9/5.56  4.05/2.07  1.58/0.90  1.19/0.67
-POOL_MIN_ND = 5_000
-POOL_MIN_COUNT_NND = 150_000
-# trial blocks per worker of a pooled point, so that no worker idles long
-# at the end
+def point_work(plan: TrialPlan, n: int, d: int) -> int:
+    """The size of a risk point of ``plan`` at (n, d) that decides where it
+    runs: the ``4 trials n d`` values its trials draw, and ``2 trials n^2``
+    LLR entries more when a detector reads the matrices."""
+    draws = 4 * plan.trials * n * d
+    if any(name != "sum" for name in plan.detectors):
+        return draws + 2 * plan.trials * n * n
+    return draws
+
+
+# Points of at least this work (see point_work) run their trial blocks in the
+# run's process pool when it has two or more workers; smaller ones run in
+# process.  Seconds per Gaussian point (rho = 0.25, pd_samples = 2000), in
+# process / on a started pool of 2 workers, best of 3, 2-vCPU Xeon, numpy
+# 2.4.6; glrt in one block per worker (see BLOCKS_PER_WORKER).  The pool's
+# start, about 0.5 s, is paid once per process:
+#   detector  n    d    trials  work    in process  pool
+#   sum       30   10   40      4.8e4   0.006       0.009
+#   sum       100  10   40      1.6e5   0.010       0.009
+#   sum       100  2    640     5.1e5   0.081       0.048
+#   sum       100  100  640     2.6e7   0.70        0.35
+#   count     100  2    10      2.1e5   0.006       0.008
+#   count     100  100  10      6.0e5   0.030       0.031
+#   count     100  2    40      8.3e5   0.015       0.014
+#   count     100  100  40      2.4e6   0.077       0.049
+#   glrt      30   10   160     4.8e5   0.105       0.132
+#   glrt      100  2    40      8.3e5   0.36        0.24
+#   glrt      30   10   640     1.9e6   0.39        0.33
+#   glrt      300  10   10      1.9e6   0.73        0.52
+#   glrt      100  10   160     3.8e6   0.67        0.41
+# Below 1e6 the pool loses or ties in some cell, above it it wins in all.
+POOL_MIN_WORK = 1_000_000
+# trial blocks per worker of a pooled point without a stacked detector, so
+# that no worker idles long at the end.  A point with a stacked detector
+# gets one block per worker: the solver runs one large stack faster than
+# four small ones (glrt at n = 100, d = 10, 40 trials took 0.27 s on 2
+# workers in 8 blocks, 0.12 s in 2, and 0.20 s in process)
 BLOCKS_PER_WORKER = 4
 # bytes of one block's stack of pair LLR matrices, (trials, 2, n, n) float64,
 # which each stacked detector (scan test, mixture oracle) evaluates in one
@@ -265,89 +293,121 @@ LLR_STACK_BYTES = 1 << 25
 SUB_BLOCK_BYTES = 1 << 14
 
 
-def point_workers(plan: TrialPlan, n: int, d: int, threads: int) -> int:
-    """Worker threads for one risk point of ``plan`` at (n, d), at most
-    ``threads``: one where the trials are GIL-bound, else one per trial up to
-    the cap."""
-    if any(name in GIL_BOUND_DETECTORS for name in plan.detectors):
-        return 1
-    pooled = n * d >= POOL_MIN_ND or (
-        "count" in plan.detectors and n * n * d >= POOL_MIN_COUNT_NND
-    )
-    return min(threads, plan.trials) if pooled else 1
-
-
-# get/set symbol pairs of the OpenBLAS thread count, in the order tried:
-# numpy's bundled scipy-openblas (ILP64), then a plain OpenBLAS
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_thread_functions():
-    """``(get, set)`` of the OpenBLAS thread count numpy's products use, or
-    None when numpy's BLAS exports no such pair.  The symbols are looked up
-    through numpy's own extension module, so the dynamic linker resolves
-    them in the BLAS that module is linked against, not in another OpenBLAS
-    (scipy's, say) that the process has also loaded."""
-    try:
-        from numpy._core import _multiarray_umath
-
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except (ImportError, OSError):
-        return None
-    for get_name, set_name in _OPENBLAS_SYMBOLS:
-        get_threads = getattr(lib, get_name, None)
-        set_threads = getattr(lib, set_name, None)
-        if get_threads is not None and set_threads is not None:
-            get_threads.restype, get_threads.argtypes = ctypes.c_int, []
-            set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
-            return get_threads, set_threads
-    return None
-
-
-class _BlasPin:
-    """Depth count of the pooled points running, and the OpenBLAS thread
-    count saved by the first of them.  The count is process-global, so
-    concurrent points share one pin and the last one out restores it."""
-
-    lock = threading.Lock()
-    depth = 0
-    saved = 0
-
-
-@contextlib.contextmanager
-def _one_blas_thread(active: bool):
-    """While ``active``, numpy's OpenBLAS runs each product on the calling
-    thread, so a pool of workers does not multiply with BLAS threads.  Does
-    nothing where the thread count cannot be set."""
-    functions = _openblas_thread_functions() if active else None
-    if functions is None:
-        yield
-        return
-    get_threads, set_threads = functions
-    with _BlasPin.lock:
-        if _BlasPin.depth == 0:
-            _BlasPin.saved = get_threads()
-            set_threads(1)
-        _BlasPin.depth += 1
-    try:
-        yield
-    finally:
-        with _BlasPin.lock:
-            _BlasPin.depth -= 1
-            if _BlasPin.depth == 0:
-                set_threads(_BlasPin.saved)
-
-
-def _trial_blocks(trials: int, workers: int, cap: int) -> list[range]:
-    """Contiguous blocks of trial indices: one block on one worker, else
-    ``BLOCKS_PER_WORKER`` per worker, none longer than ``cap`` trials."""
-    count = 1 if workers == 1 else workers * BLOCKS_PER_WORKER
+def _trial_blocks(
+    detectors: list[PreparedDetector], n: int, trials: int, workers: int
+) -> list[range]:
+    """Contiguous blocks of a point's trial indices on ``workers`` workers:
+    one block on one worker, else ``BLOCKS_PER_WORKER`` per worker, or one
+    per worker with a stacked detector.  A point with one holds at most the
+    trials whose LLR stack fits ``LLR_STACK_BYTES`` in a block."""
+    stacked = any(det.stacked for det in detectors)
+    count = workers * (1 if stacked or workers == 1 else BLOCKS_PER_WORKER)
+    cap = LLR_STACK_BYTES // (16 * n * n) if stacked else trials
     size = max(1, min(-(-trials // count), cap))
     return [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+
+def run_unit(
+    model: JointModel, n: int, d: int, plan: TrialPlan, point_index: int, block: range
+) -> np.ndarray:
+    """The statistics ``[trial, hypothesis, detector]`` of one block of
+    trials of risk point ``point_index`` of ``plan`` at (n, d) (see
+    :func:`_point_records`): the work unit, in process or in a worker
+    process, from picklable inputs alone.  It binds the point's detectors
+    itself; their thresholds are settled by the caller."""
+    detectors = prepare(model, n, d, plan, count_plans(plan, (model,)))
+    unique = list(dict.fromkeys(detectors))
+    stacked = [det for det in unique if det.stacked]
+    samplers = (sample_null_rng, sample_alt_rng)
+    purposes = (rngmod.RISK_NULL, rngmod.RISK_ALT)
+    dtype = np.float64 if isinstance(model, GaussianModel) else np.int64
+    step = max(1, SUB_BLOCK_BYTES // (8 * n * max(n, d)))  # pairs per sub-block
+    keys = [
+        rngmod.stream_keys(plan.seed, (purpose, point_index), block)
+        for purpose in purposes
+    ]
+    rng = np.random.Generator(np.random.Philox(key=keys[0][0]))
+    pairs = 2 * len(block)
+    stats = {det: np.empty(pairs) for det in unique if not det.stacked}
+    llr = _mapped_stack((pairs, n, n)) if stacked else None
+    x = np.empty((min(step, pairs), n, d), dtype)
+    y = np.empty_like(x)
+    for lo in range(0, pairs, step):
+        size = min(step, pairs - lo)
+        for p in range(size):
+            trial, h = divmod(lo + p, 2)
+            pair = samplers[h](model, n, d, rngmod.rekey(rng, keys[h][trial]))
+            x[p], y[p] = pair.x, pair.y
+        cache = PairCache(model, x[:size], y[:size])
+        for det in stats:
+            stats[det][lo : lo + size] = det.evaluate_block(cache)
+        if stacked:
+            llr[lo : lo + size] = cache.llr()
+    for det in stacked:
+        stats[det] = det.evaluate_stack(llr.reshape(len(block), 2, n, n)).ravel()
+    return np.stack([stats[det] for det in detectors], axis=-1).reshape(
+        len(block), 2, -1
+    )
+
+
+# the runs' process pool, made on first use, the (workers, process id) it
+# was made for, and the lock under which threads make, replace or stop it
+_POOL: Optional[Executor] = None
+_POOL_KEY: Optional[tuple[int, int]] = None
+_POOL_LOCK = threading.RLock()
+
+
+def _process_pool(workers: int) -> Executor:
+    """The ``spawn`` pool of ``workers`` processes, reused while the count
+    and this process stay the same.  Its workers all start here, with
+    ``OPENBLAS_NUM_THREADS=1`` in the environment they inherit, so that
+    their matrix products do not multiply with BLAS threads; the caller's
+    environment is restored at once."""
+    # imported here, on a run's first pooled point: multiprocessing and the
+    # process pool take 10-20 ms to import, which small runs need not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _POOL, _POOL_KEY
+    key = (workers, os.getpid())
+    with _POOL_LOCK:
+        if _POOL_KEY == key:
+            return _POOL
+        shutdown_pool()
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn")
+            )
+            # a submit starts a worker while the pool has fewer than
+            # ``workers`` and none idle, which no worker is this early
+            for _ in range(workers):
+                pool.submit(os.getpid)
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
+        _POOL, _POOL_KEY = pool, key
+        return pool
+
+
+def shutdown_pool() -> None:
+    """Stop the worker processes of the runs' pool, if there is one; the
+    next pooled run starts a new pool.  A pool made by a parent process
+    before a fork is only forgotten: its workers are the parent's."""
+    global _POOL, _POOL_KEY
+    with _POOL_LOCK:
+        pool, key = _POOL, _POOL_KEY
+        _POOL = _POOL_KEY = None
+        if pool is not None and key[1] == os.getpid():
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+# at exit, after concurrent.futures has stopped the workers, and before the
+# interpreter clears the modules the pool's finaliser reads
+atexit.register(shutdown_pool)
 
 
 def _point_records(
@@ -356,8 +416,8 @@ def _point_records(
     d: int,
     plan: TrialPlan,
     point_index: int,
-    threads: int,
     plans: CountPlans,
+    queued: Optional[list[Future]] = None,
 ) -> tuple[list[PreparedDetector], np.ndarray]:
     """The prepared detectors of one risk point, thresholds settled, and
     its decisions ``[hypothesis, detector, trial]``.
@@ -375,61 +435,27 @@ def _point_records(
     oracle) the block keeps every pair's LLR matrix in one ``(trials, 2, n,
     n)`` stack, of at most ``LLR_STACK_BYTES``, which each of them evaluates
     in one call once the block's trials are drawn; it holds no other pair
-    of past sub-blocks.  A threshold that needs work of its own (the count
-    test's pd plan, a Monte-Carlo estimate for Gaussian models) is settled
-    by the first work units of the same pool as the blocks, so it runs while
-    they do, and the decisions ``statistic >= cut`` are taken once all units
-    are in.  A plan that fails, or whose pd makes the threshold vacuous,
-    raises before any trial's error.  The pool has :func:`point_workers`
-    threads, and while it has more than one, OpenBLAS is held to one thread.
-    Neither the blocks, the sub-blocks nor the workers change a statistic:
-    every trial's pairs and records are those it has alone."""
+    of past sub-blocks.
+
+    ``queued`` holds the futures of the point's blocks on the process pool,
+    in trial order (see :func:`_run_points`); without it the point is one
+    block, run in process on a one-worker thread pool.  A threshold that
+    needs work of its own (the count test's pd plan) is settled first, so a
+    plan that fails, or whose pd makes the threshold vacuous, raises before
+    any trial's error; the decisions ``statistic >= cut`` are taken once all
+    blocks are in.  Neither the blocks, the sub-blocks nor the workers
+    change a statistic: every trial's pairs and records are those it has
+    alone."""
     detectors = prepare(model, n, d, plan, plans)
-    unique = list(dict.fromkeys(detectors))
-    pending = [det for det in unique if det.cut is None]
-    stacked = [det for det in unique if det.stacked]
-    samplers = (sample_null_rng, sample_alt_rng)
-    purposes = (rngmod.RISK_NULL, rngmod.RISK_ALT)
-    dtype = np.float64 if isinstance(model, GaussianModel) else np.int64
-    step = max(1, SUB_BLOCK_BYTES // (8 * n * max(n, d)))  # pairs per sub-block
-
-    def run_unit(unit):
-        if isinstance(unit, PreparedDetector):
-            return unit.settle()
-        keys = [
-            rngmod.stream_keys(plan.seed, (purpose, point_index), unit)
-            for purpose in purposes
-        ]
-        rng = np.random.Generator(np.random.Philox(key=keys[0][0]))
-        pairs = 2 * len(unit)
-        stats = {det: np.empty(pairs) for det in unique if not det.stacked}
-        llr = _mapped_stack((pairs, n, n)) if stacked else None
-        x = np.empty((min(step, pairs), n, d), dtype)
-        y = np.empty_like(x)
-        for lo in range(0, pairs, step):
-            size = min(step, pairs - lo)
-            for p in range(size):
-                trial, h = divmod(lo + p, 2)
-                pair = samplers[h](model, n, d, rngmod.rekey(rng, keys[h][trial]))
-                x[p], y[p] = pair.x, pair.y
-            cache = PairCache(model, x[:size], y[:size])
-            for det in stats:
-                stats[det][lo : lo + size] = det.evaluate_block(cache)
-            if stacked:
-                llr[lo : lo + size] = cache.llr()
-        for det in stacked:
-            stats[det] = det.evaluate_stack(llr.reshape(len(unit), 2, n, n)).ravel()
-        # [trial, hypothesis, detector]
-        return np.stack([stats[det] for det in detectors], axis=-1).reshape(
-            len(unit), 2, -1
-        )
-
-    workers = point_workers(plan, n, d, threads)
-    cap = LLR_STACK_BYTES // (16 * n * n) if stacked else plan.trials
-    units = pending + _trial_blocks(plan.trials, workers, cap)
-    with _one_blas_thread(workers > 1), ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_unit, units))
-    records = np.concatenate(results[len(pending) :])
+    for det in dict.fromkeys(detectors):
+        det.settle()
+    if queued is None:
+        block = functools.partial(run_unit, model, n, d, plan, point_index)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            results = list(pool.map(block, _trial_blocks(detectors, n, plan.trials, 1)))
+    else:
+        results = [future.result() for future in queued]
+    records = np.concatenate(results)
     cuts = np.array([det.cut for det in detectors])
     return detectors, np.moveaxis(records, 0, -1) >= cuts[:, None]
 
@@ -440,13 +466,13 @@ def _run_point(
     d: int,
     plan: TrialPlan,
     point_index: int,
-    threads: int,
     plans: CountPlans,
+    queued: Optional[list[Future]] = None,
 ) -> list[RiskEstimate]:
     """One risk point: a risk estimate per detector from the decisions of
     :func:`_point_records`."""
     detectors, decisions = _point_records(
-        model, n, d, plan, point_index, threads, plans
+        model, n, d, plan, point_index, plans, queued
     )
     m_trials = plan.trials
     out = []
@@ -475,14 +501,110 @@ def _run_point(
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class PointError:
+    """Record of one sweep grid point that failed instead of producing
+    estimates (capacity guard, vacuous threshold, ...)."""
+
+    param: Optional[float]
+    n: int
+    d: int
+    message: str
+
+
+def _run_points(
+    plan: TrialPlan,
+    points: Sequence[tuple[Optional[float], JointModel, int, int]],
+    threads: Optional[int],
+    plans: CountPlans,
+    error_sink: Optional[list],
+) -> list[RiskEstimate]:
+    """The estimates of a run's ``(param, model, n, d)`` points, point i
+    being risk point i, in point order.
+
+    The pool has ``min(threads, cores)`` worker processes; with two or more,
+    each point of at least ``POOL_MIN_WORK`` (see :func:`point_work`) whose
+    detectors bind goes to it.  All the pooled work is queued at once:
+    first the Monte-Carlo pd passes of the pooled points' count plans,
+    longest first, then each pooled point's trial blocks (see
+    :func:`_trial_blocks`), in point order.  The points are then taken in
+    order: a small one runs in process while the pool works, and a pooled
+    one stores its pass and waits for its blocks.  A point that fails
+    appends a :class:`PointError` to ``error_sink`` when it is a list, else
+    raises; an error raised in a worker reaches here with its type and
+    message.  A worker process that dies raises one ``DetectionError``
+    naming the point, and the next run gets a new pool."""
+    workers = min(thread_count(threads), os.cpu_count() or 1)
+    pooled = [
+        workers > 1 and point_work(plan, n, d) >= POOL_MIN_WORK for _, _, n, d in points
+    ]
+    queued: dict[int, list[Future]] = {}
+    passes: dict[int, tuple] = {}  # d -> (pass members, future)
+    out: list[RiskEstimate] = []
+    index = 0
+    try:
+        if any(pooled):
+            pool = _process_pool(workers)
+            ready = {}  # pooled point that binds -> its detectors
+            for i, (_, model, n, d) in enumerate(points):
+                if pooled[i]:
+                    try:
+                        ready[i] = prepare(model, n, d, plan, plans)
+                    except (ValidationError, CapacityError):
+                        pass  # raised again when the point's turn comes
+            runs = []
+            for d in dict.fromkeys(points[i][3] for i in ready):
+                try:
+                    args = plans.pd_pass(d) if "count" in plan.detectors else None
+                except ValidationError:  # raised again at the point
+                    args = None
+                if args is not None:
+                    runs.append(args)
+            runs.sort(key=lambda args: len(args[0]) * args[1] * args[2], reverse=True)
+            for members, d, samples, seed in runs:
+                future = pool.submit(_monte_carlo_pd, members, d, samples, seed)
+                passes[d] = (members, future)
+            for index, detectors in ready.items():
+                _, model, n, d = points[index]
+                queued[index] = [
+                    pool.submit(run_unit, model, n, d, plan, index, block)
+                    for block in _trial_blocks(detectors, n, plan.trials, workers)
+                ]
+        for index, (param, model, n, d) in enumerate(points):
+            try:
+                if d in passes:
+                    members, future = passes.pop(d)
+                    plans.store(members, d, future.result())
+                out.extend(
+                    _run_point(model, n, d, plan, index, plans, queued.get(index))
+                )
+            except (ValidationError, CapacityError) as exc:
+                if error_sink is None:
+                    raise
+                error_sink.append(PointError(param=param, n=n, d=d, message=str(exc)))
+                for future in queued.get(index, ()):
+                    future.cancel()
+    except BrokenExecutor:  # a worker process died
+        shutdown_pool()
+        param, _, n, d = points[index]
+        raise DetectionError(
+            f"a worker process died while running risk point param={param} "
+            f"n={n} d={d}"
+        ) from None
+    finally:
+        for future in itertools.chain(
+            *queued.values(), (future for _, future in passes.values())
+        ):
+            future.cancel()
+    return out
+
+
 def estimate_risk(plan: TrialPlan, threads: Optional[int] = None) -> list[RiskEstimate]:
     """Monte-Carlo risk of each detector: ``trials`` independent null trials
     and ``trials`` independent dependent trials (hidden permutation uniform
     per trial), deterministic in the plan seed."""
-    return _run_point(
-        plan.model, plan.n, plan.d, plan, 0, thread_count(threads),
-        count_plans(plan, (plan.model,)),
-    )
+    point = (model_param(plan.model), plan.model, plan.n, plan.d)
+    return _run_points(plan, [point], threads, count_plans(plan, (plan.model,)), None)
 
 
 def _model_with_param(model: JointModel, value: float) -> JointModel:
@@ -493,17 +615,6 @@ def _model_with_param(model: JointModel, value: float) -> JointModel:
     raise ValidationError(
         "parameter sweeps apply to gaussian (rho) and bernoulli (tau) models"
     )
-
-
-@dataclass(frozen=True, eq=False)
-class PointError:
-    """Record of one sweep grid point that failed instead of producing
-    estimates (capacity guard, vacuous threshold, ...)."""
-
-    param: Optional[float]
-    n: int
-    d: int
-    message: str
 
 
 def sweep(
@@ -519,7 +630,7 @@ def sweep(
     failure propagates.  The models of all parameter values are built
     first, so a parameter outside the family's range raises before any
     point runs.  One count-plan table serves every point (see
-    :class:`CountPlans`).
+    :class:`CountPlans`), and one process pool (see :func:`_run_points`).
     """
     grid = plan.sweep
     if grid is None:
@@ -527,29 +638,17 @@ def sweep(
     params = grid.param_values if grid.param_values is not None else (None,)
     d_values = grid.d_values if grid.d_values is not None else (plan.d,)
     n_values = grid.n_values if grid.n_values is not None else (plan.n,)
-    workers = thread_count(threads)
     models = [
         plan.model if value is None else _model_with_param(plan.model, value)
         for value in params
     ]
-    plans = count_plans(plan, models)
-    out: list[RiskEstimate] = []
-    point_index = 0
-    for value, model in zip(params, models):
-        for d in d_values:
-            for n in n_values:
-                try:
-                    out.extend(
-                        _run_point(model, n, d, plan, point_index, workers, plans)
-                    )
-                except (ValidationError, CapacityError) as exc:
-                    if error_sink is None:
-                        raise
-                    error_sink.append(
-                        PointError(param=value, n=n, d=d, message=str(exc))
-                    )
-                point_index += 1
-    return out
+    points = [
+        (value, model, n, d)
+        for value, model in zip(params, models)
+        for d in d_values
+        for n in n_values
+    ]
+    return _run_points(plan, points, threads, count_plans(plan, models), error_sink)
 
 
 CSV_COLUMNS = (

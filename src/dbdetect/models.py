@@ -281,10 +281,18 @@ def observations(model: JointModel, values) -> np.ndarray:
 
 def _gaussian_llr(rho: float, d, xx, yy, xy):
     """Gaussian row-pair LLR over d features, from the squared norms ``xx``,
-    ``yy`` of the two rows and their inner product ``xy``."""
+    ``yy`` of the two rows and their inner product ``xy``, which an array
+    ``xy`` is overwritten with.  The result is built in place on ``xx +
+    yy``, in the operation order of ``-rho^2 (xx + yy) + 2 rho xy``, over
+    2c, plus the constant, so it has the same bits as that expression."""
     c = 1.0 - rho * rho
-    quad = -rho * rho * (xx + yy) + 2.0 * rho * xy
-    return -0.5 * d * math.log(c) + quad / (2.0 * c)
+    t = xx + yy
+    t *= -rho * rho
+    xy *= 2.0 * rho
+    t += xy
+    t /= 2.0 * c
+    t += -0.5 * d * math.log(c)
+    return t
 
 
 def llr(model: JointModel, x, y) -> float:

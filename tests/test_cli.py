@@ -356,52 +356,43 @@ class TestPlans:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_workers_clamped_to_trials(self, tmp_path, monkeypatch):
-        """--threads 64 with 3 trials asks the pool for 3 workers on a point
-        big enough to pool (n * d = 10^4), and for 1 on GIL-bound points
-        (n * d = 30).  The fake pool runs the units serially, so no thread
-        starts."""
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return [fn(*args) for args in zip(*iterables)]
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", SerialPool)
+    def test_workers_capped_by_cores_and_trials(self, tmp_path, monkeypatch):
+        """--threads 64 makes a pool of one worker process per core, and a
+        point of 3 trials runs as 3 blocks on it (every point pooled here);
+        --threads 1 runs the point in process.  The bytes are the same, and
+        once the pool shuts down no thread of it is left."""
+        monkeypatch.setattr(experiments, "POOL_MIN_WORK", 0)
+        experiments.shutdown_pool()
         pooled = tmp_path / "pooled.txt"
         pooled.write_text(POOLED_PLAN_TEXT)
-        gil_bound = tmp_path / "plan.txt"
-        gil_bound.write_text(PLAN_TEXT)
         threads_before = threading.active_count()
 
-        def risk(path, threads):
-            del requested[:]
+        def risk(threads):
             out = tmp_path / f"r{threads}.csv"
             assert (
                 run_cli(
-                    "risk", "--plan", path, "--trials", 3, "--threads", threads,
+                    "risk", "--plan", pooled, "--trials", 3, "--threads", threads,
                     "--out", out,
                 )
                 == 0
             )
             return out.read_bytes()
 
-        outputs = [risk(pooled, 1)]
-        assert requested == [1]
-        outputs.append(risk(pooled, 64))
-        assert requested == [3]
+        outputs = [risk(1)]
+        assert experiments._POOL is None
+        outputs.append(risk(64))
         assert outputs[0] == outputs[1]
-        risk(gil_bound, 64)
-        assert requested == [1]
+        cores = os.cpu_count() or 1
+        if cores > 1:
+            assert experiments._POOL_KEY[0] == min(64, cores)
+        plan = load_plan(str(pooled), {"trials": 3})
+        detectors = experiments.prepare(
+            plan.model, 100, 100, plan, experiments.count_plans(plan, (plan.model,))
+        )
+        assert experiments._trial_blocks(detectors, 100, 3, min(64, cores)) == (
+            [range(0, 1), range(1, 2), range(2, 3)] if cores > 1 else [range(0, 3)]
+        )
+        experiments.shutdown_pool()
         assert threading.active_count() == threads_before
 
     def test_sweep_runs_and_is_deterministic(self, tmp_path):

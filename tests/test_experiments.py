@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import multiprocessing
+import os
 import re
+import signal
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +15,12 @@ import pytest
 
 from dbdetect import cli, detectors, experiments
 from dbdetect import rng as rngmod
-from dbdetect.errors import CapacityError, DegenerateModelError, ValidationError
+from dbdetect.errors import (
+    CapacityError,
+    DegenerateModelError,
+    DetectionError,
+    ValidationError,
+)
 from dbdetect.experiments import (
     SweepGrid,
     TrialPlan,
@@ -56,8 +64,9 @@ def small_plan(**kwargs):
 
 
 def pool_plan(**kwargs):
-    """A Gaussian sum+count point big enough (n * d = 10^4) to run on one
-    worker per thread, up to its trials."""
+    """A Gaussian sum+count point big enough (work 1.2e6, see
+    ``experiments.point_work``) to run on the process pool when a run has
+    two or more workers."""
     defaults = dict(
         model=gauss(0.3),
         n=100,
@@ -72,17 +81,27 @@ def pool_plan(**kwargs):
     return TrialPlan(**defaults)
 
 
+# tests that check a pool was used need two cores: with one, every point runs
+# in process
+two_cores = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="a run pools its points on two or more cores"
+)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Every point of a run with two or more workers goes to the process
+    pool, however small."""
+    monkeypatch.setattr(experiments, "POOL_MIN_WORK", 0)
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Replaces the harness's pool by a real one that records the workers it
-    was asked for and the per-unit results of each point."""
-    log = {"workers": [], "results": []}
+    """Replaces the harness's in-process pool by a real one that records the
+    per-block results of each point."""
+    log = {"results": []}
 
     class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            log["workers"].append(max_workers)
-            super().__init__(max_workers=max_workers)
-
         def map(self, fn, *iterables):
             results = list(super().map(fn, *iterables))
             log["results"].append(results)
@@ -224,8 +243,12 @@ class TestDeferredCountDecisions:
         ],
         ids=["bernoulli-glrt-count", "gaussian-sum-count", "gaussian-pooled-sum-count"],
     )
-    def test_csv_bytes_equal_across_threads(self, plan):
+    def test_csv_bytes_equal_across_threads(self, plan, monkeypatch):
+        """The same bytes at 1, 2 and 8 threads, with the point in process
+        and with it on the process pool."""
         outputs = {estimates_to_csv(estimate_risk(plan, threads=t)) for t in (1, 2, 8)}
+        monkeypatch.setattr(experiments, "POOL_MIN_WORK", 0)
+        outputs |= {estimates_to_csv(estimate_risk(plan, threads=t)) for t in (1, 2, 8)}
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -252,13 +275,13 @@ class TestDeferredCountDecisions:
     ):
         """A stack budget below one trial's matrices makes every trial a
         block of its own, with a stack of two: the CSV bytes are those of
-        the default, where the point is one block."""
+        the default, where the point is one block.  Both points are small
+        enough to run in process."""
         default = estimates_to_csv(estimate_risk(plan, threads=threads))
         monkeypatch.setattr(experiments, "LLR_STACK_BYTES", 1)
         assert estimates_to_csv(estimate_risk(plan, threads=threads)) == default
         units = [len(results) for results in recording_pool["results"]]
-        pending = int("count" in plan.detectors)
-        assert units == [1 + pending, plan.trials + pending]
+        assert units == [1, plan.trials]
 
     def test_count_threshold_and_statistic_match_count_test(self):
         """The harness's count row equals deciding each trial's pairs with
@@ -286,7 +309,7 @@ class TestSubBlocks:
     """A block draws its pairs and computes their LLR matrices a sub-block
     at a time; how many pairs a sub-block holds changes no statistic."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "model", [gauss(0.6), make_bernoulli(0.6, 0.3)], ids=["gaussian", "bernoulli"]
     )
@@ -296,31 +319,38 @@ class TestSubBlocks:
             (("glrt", "sum", "count", "np-oracle"), 6, 4, 9),
             (("sum", "count"), 50, 100, 6),
         ],
-        ids=["all-detectors", "pooled-sum-count"],
+        ids=["all-detectors", "sum-count"],
     )
     def test_statistics_bit_identical_across_sub_block_sizes(
-        self, model, names, n, d, trials, threads, monkeypatch, recording_pool
+        self, model, names, n, d, trials, workers, monkeypatch
     ):
-        """Every unit's statistics are the same bytes with one pair per
-        sub-block, one trial (two pairs) per sub-block and the whole unit in
-        one sub-block; the second plan pools its trials when it has two
-        threads."""
+        """Every block's statistics are the same bytes with one pair per
+        sub-block, one trial (two pairs) per sub-block and the whole block
+        in one sub-block, for the blocks of one worker and of two, each run
+        by ``run_unit`` in process as a worker process runs it; so are the
+        point's CSV bytes.  The blocks of two workers, joined, are those of
+        one."""
         plan = TrialPlan(
             model=model, n=n, d=d, trials=trials, seed=21, detectors=names,
             tau_count="half-kl", pd_samples=2000,
         )
+        detectors = experiments.prepare(
+            model, n, d, plan, experiments.count_plans(plan, (model,))
+        )
+        blocks = experiments._trial_blocks(detectors, n, trials, workers)
+        assert len(blocks) == (1 if workers == 1 else 2 if "glrt" in names else 6)
         runs = []
         for budget in (1, 16 * n * max(n, d), 1 << 40):
             monkeypatch.setattr(experiments, "SUB_BLOCK_BYTES", budget)
-            csv = estimates_to_csv(estimate_risk(plan, threads=threads))
-            (results,) = recording_pool["results"][-1:]
-            runs.append((csv, [np.asarray(unit).tobytes() for unit in results]))
+            units = [experiments.run_unit(model, n, d, plan, 0, b) for b in blocks]
+            csv = estimates_to_csv(estimate_risk(plan, threads=1))
+            runs.append((csv, [unit.tobytes() for unit in units]))
         assert runs[0] == runs[1] == runs[2]
-        workers = recording_pool["workers"][-1]
-        assert workers == (threads if names == ("sum", "count") else 1)
+        whole = experiments.run_unit(model, n, d, plan, 0, range(trials))
+        assert np.concatenate(units).tobytes() == whole.tobytes()
 
 
-def per_point_sweep(plan, threads):
+def per_point_sweep(plan):
     """A Gaussian rho sweep run point by point, each point with a count-plan
     table of its own: the rows and the ``(param, n, d, message)`` of each
     failed point."""
@@ -333,9 +363,7 @@ def per_point_sweep(plan, threads):
                 model = gauss(rho)
                 plans = experiments.count_plans(plan, (model,))
                 try:
-                    rows += experiments._run_point(
-                        model, n, d, plan, index, threads, plans
-                    )
+                    rows += experiments._run_point(model, n, d, plan, index, plans)
                 except ValidationError as exc:
                     errors.append((rho, n, d, str(exc)))
                 index += 1
@@ -386,10 +414,34 @@ class TestSharedCountPlans:
         calls = counting_pd_passes(monkeypatch)
         rows = sweep(plan, threads=threads)
         assert calls == [(3, 4), (3, 8)]
-        expected, errors = per_point_sweep(plan, threads)
+        expected, errors = per_point_sweep(plan)
         assert errors == []
         assert estimates_to_csv(rows) == estimates_to_csv(expected)
         assert len(calls) == 2 + 18  # the per-point run: one pass a point
+
+    @two_cores
+    def test_pooled_sweep_stores_one_pass_per_d(self, monkeypatch, pooled):
+        """On the pool, the sweep's table stores one pass per d, run by a
+        worker process, and its rows are those of the points run one by
+        one in process."""
+        plan = TrialPlan(
+            model=gauss(0.5), n=10, d=4, trials=6, seed=3,
+            detectors=("sum", "count"), tau_count="half-kl", pd_samples=3000,
+            sweep=SweepGrid(param_values=(0.3, 0.9), n_values=(5, 10), d_values=(4, 8)),
+        )
+        stored = []
+        original = detectors.CountPlans.store
+
+        def logging(self, members, d, estimates):
+            stored.append((len(members), d))
+            return original(self, members, d, estimates)
+
+        monkeypatch.setattr(detectors.CountPlans, "store", logging)
+        rows = sweep(plan, threads=2)
+        assert stored == [(2, 4), (2, 8)]
+        expected, errors = per_point_sweep(plan)
+        assert errors == []
+        assert estimates_to_csv(rows) == estimates_to_csv(expected)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_estimate_risk_makes_one_pass_through_the_table(self, monkeypatch, threads):
@@ -423,12 +475,19 @@ class TestSharedCountPlans:
         assert calls == [(1, 4)]
         assert [d for _, d in lookups] == [4]
 
+    @pytest.mark.parametrize("on_pool", [False, True], ids=["in-process", "pooled"])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("params", [(0.3, 0.9), (0.9, 0.3)])
-    def test_vacuous_member_fails_at_its_own_points(self, params, threads):
+    def test_vacuous_member_fails_at_its_own_points(
+        self, params, threads, on_pool, monkeypatch
+    ):
         """At tau_count = 0.8 and d = 4 no draw reaches the level for
         rho = 0.3 (pd = 0) while rho = 0.9 has pd > 0: only rho = 0.3's
-        points fail, whether the shared pass ran at one of them or not."""
+        points fail, whether the shared pass ran at one of them or not, and
+        whether the points ran on the process pool or in process; the
+        rows and messages are those of the points run one by one."""
+        if on_pool:
+            monkeypatch.setattr(experiments, "POOL_MIN_WORK", 0)
         plan = TrialPlan(
             model=gauss(0.5), n=6, d=4, trials=5, seed=5,
             detectors=("sum", "count"), tau_count=0.8, pd_samples=2000,
@@ -436,7 +495,7 @@ class TestSharedCountPlans:
         )
         errors = []
         rows = sweep(plan, threads=threads, error_sink=errors)
-        expected_rows, expected_errors = per_point_sweep(plan, threads)
+        expected_rows, expected_errors = per_point_sweep(plan)
         assert [(e.param, e.n, e.d, e.message) for e in errors] == expected_errors
         assert expected_errors == [(0.3, 5, 4, VACUOUS), (0.3, 6, 4, VACUOUS)]
         assert estimates_to_csv(rows) == estimates_to_csv(expected_rows)
@@ -464,13 +523,23 @@ class TestSharedCountPlans:
         assert lookups == []
 
 
-def public_decisions(plan, threads):
+def public_decisions(plan, on_pool):
     """The harness's thresholds and decisions ``[hypothesis, detector,
-    trial]`` at point 0 of ``plan``, and the same from the public detectors
+    trial]`` at point 0 of ``plan``, its blocks run in process or queued on
+    a process pool of two workers, and the same from the public detectors
     on the pairs drawn from the same substreams."""
     model, n, d = plan.model, plan.n, plan.d
+    plans = experiments.count_plans(plan, (model,))
+    queued = None
+    if on_pool:
+        detectors_ = experiments.prepare(model, n, d, plan, plans)
+        pool = experiments._process_pool(2)
+        queued = [
+            pool.submit(experiments.run_unit, model, n, d, plan, 0, block)
+            for block in experiments._trial_blocks(detectors_, n, plan.trials, 2)
+        ]
     prepared, decisions = experiments._point_records(
-        model, n, d, plan, 0, threads, experiments.count_plans(plan, (model,))
+        model, n, d, plan, 0, plans, queued
     )
     count_plan = None
     if "count" in plan.detectors:
@@ -506,7 +575,7 @@ class TestRecordsContract:
     """Every per-trial decision of the harness equals the public detector's
     decision on the same pair, not only the risk rows."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("on_pool", [False, True], ids=["in-process", "pooled"])
     @pytest.mark.parametrize(
         "plan",
         [
@@ -525,8 +594,8 @@ class TestRecordsContract:
         ],
         ids=["gaussian-sum-count", "bernoulli-glrt-count", "np-oracle-glrt"],
     )
-    def test_decisions_equal_the_public_detectors(self, plan, threads):
-        got_thresholds, got, thresholds, expected = public_decisions(plan, threads)
+    def test_decisions_equal_the_public_detectors(self, plan, on_pool):
+        got_thresholds, got, thresholds, expected = public_decisions(plan, on_pool)
         assert got.shape == (2, len(plan.detectors), plan.trials)
         assert got_thresholds == thresholds
         assert np.array_equal(got, expected)
@@ -547,118 +616,83 @@ class TestNanThresholds:
             detectors.resolve_tau_count(gauss(0.5), "halfkl")
 
 
-class TestWorkers:
-    """A point runs on one worker where its trials hold the interpreter lock,
-    and on up to ``threads`` workers otherwise; OpenBLAS is held to one
-    thread while a pool of several runs and restored afterwards."""
+class TestProcessPool:
+    """Large points run their trial blocks in one spawn process pool per
+    run, made on first use and reused; small points run in process."""
 
     @pytest.mark.parametrize(
-        "plan,workers",
+        "plan,expected",
         [
-            (pool_plan(), {1: 1, 2: 2, 8: 8}),
-            (pool_plan(trials=3), {1: 1, 2: 2, 8: 3}),
-            (pool_plan(detectors=("sum",), n=49), {1: 1, 2: 1, 8: 1}),
-            (pool_plan(detectors=("sum",), n=50), {1: 1, 2: 2, 8: 8}),
-            (pool_plan(n=100, d=10), {1: 1, 2: 1, 8: 1}),
-            (pool_plan(n=300, d=2), {1: 1, 2: 2, 8: 8}),
-            (pool_plan(detectors=("glrt",)), {1: 1, 2: 1, 8: 1}),
-            (pool_plan(detectors=("sum", "np-oracle")), {1: 1, 2: 1, 8: 1}),
+            (pool_plan(n=100, d=10, trials=300), True),  # benchmark mc-sum-count
+            (pool_plan(n=100, d=100, trials=300), True),
+            (pool_plan(detectors=("sum",), n=100, d=2, trials=2000), True),
+            (pool_plan(detectors=("count",), n=100, d=2, trials=2000), True),
+            (pool_plan(detectors=("glrt",), n=100, d=10, trials=8), False),  # mc-scan
+            (pool_plan(detectors=("glrt", "count"), n=100, d=100, trials=8), False),
+            (pool_plan(detectors=("np-oracle", "glrt"), n=8, d=10, trials=50), False),
+            (pool_plan(detectors=("sum",), n=49, d=100, trials=50), False),
         ],
         ids=[
-            "pooled", "capped-by-trials", "sum-below-nd", "sum-at-nd",
-            "count-below-nnd", "count-above-nnd", "glrt", "np-oracle",
+            "sum-count-d10", "sum-count-d100", "criterion-6-sum-d2",
+            "criterion-6-count-d2", "scan-gaussian", "scan-bernoulli", "oracle",
+            "small-sum",
         ],
     )
-    def test_point_workers(self, plan, workers):
-        got = {t: experiments.point_workers(plan, plan.n, plan.d, t) for t in workers}
-        assert got == workers
+    def test_work_decides_where_a_point_runs(self, plan, expected):
+        work = experiments.point_work(plan, plan.n, plan.d)
+        assert (work >= experiments.POOL_MIN_WORK) == expected
 
-    def test_pooled_records_equal_across_threads(self, recording_pool):
-        """The per-trial records (decisions and count statistics) and the
-        count threshold are the same on 1, 2 and 8 workers; each point's
-        blocks of trials, concatenated, hold every trial once, in order."""
-        plan = pool_plan()
-        for threads in (1, 2, 8):
-            estimate_risk(plan, threads=threads)
-        assert recording_pool["workers"] == [1, 2, 8]
-        thresholds = [results[0] for results in recording_pool["results"]]
-        blocks = [len(results) - 1 for results in recording_pool["results"]]
-        assert blocks[0] == 1 and blocks[1] > 2 and blocks[2] > 8
-        records = [
-            np.concatenate(results[1:]) for results in recording_pool["results"]
-        ]
-        assert thresholds[0] == thresholds[1] == thresholds[2]
-        assert records[0].shape == (plan.trials, 2, 2)
-        assert np.array_equal(records[0], records[1])
-        assert np.array_equal(records[0], records[2])
-
-
-@pytest.fixture
-def blas_threads(monkeypatch):
-    """The OpenBLAS thread count getter, with the count set to 2 so that a pin
-    to 1 shows; its value at every trial's null-pair draw is logged.  Where
-    numpy reports an OpenBLAS build, a lookup that finds no thread count
-    fails: pooled points would then run BLAS threads on every worker."""
-    functions = experiments._openblas_thread_functions()
-    if functions is None:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert "openblas" not in blas["name"].lower(), (
-            f"numpy's BLAS is {blas['name']}, but no OpenBLAS thread count was found"
-        )
-        pytest.skip("numpy's BLAS exposes no OpenBLAS thread count")
-    get_threads, set_threads = functions
-    before = get_threads()
-    set_threads(2)
-    seen = []
-    original = experiments.sample_null_rng
-
-    def observing(*args, **kwargs):
-        seen.append(get_threads())
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "sample_null_rng", observing)
-    yield get_threads, seen
-    set_threads(before)
-
-
-class TestBlasPin:
-    def test_pooled_point_pins_and_restores(self, blas_threads):
-        get_threads, seen = blas_threads
-        estimate_risk(pool_plan(), threads=2)
-        assert set(seen) == {1}
-        assert get_threads() == 2
-
-    def test_restored_after_a_point_raises(self, blas_threads):
-        get_threads, _ = blas_threads
-        with pytest.raises(ValidationError, match=re.escape(VACUOUS)):
-            estimate_risk(pool_plan(tau_count=1e6), threads=2)
-        assert get_threads() == 2
-
-    def test_one_worker_point_leaves_blas_alone(self, blas_threads):
-        get_threads, seen = blas_threads
+    def test_small_points_start_no_pool(self):
+        experiments.shutdown_pool()
         estimate_risk(small_plan(), threads=2)
-        estimate_risk(pool_plan(), threads=1)
-        assert set(seen) == {2}
-        assert get_threads() == 2
+        sweep(small_plan(sweep=SweepGrid(d_values=(2, 3))), threads=8)
+        assert experiments._POOL is None
 
-    def test_concurrent_points_restore_the_original(self, blas_threads):
-        """More callers than cores, with short switch intervals: the pin
-        holds while any pooled point runs, and the last one out restores."""
-        get_threads, seen = blas_threads
-        callers_n = 4
-        barrier = threading.Barrier(callers_n)
-        errors = []
+    @two_cores
+    def test_one_pool_serves_every_call(self):
+        experiments.shutdown_pool()
+        estimate_risk(pool_plan(), threads=2)
+        pool = experiments._POOL
+        assert pool is not None
+        estimate_risk(pool_plan(seed=13), threads=8)
+        sweep(pool_plan(sweep=SweepGrid(param_values=(0.3, 0.6))), threads=2)
+        assert experiments._POOL is pool
 
-        def run(seed):
+    @two_cores
+    @pytest.mark.parametrize("value", [None, "3"])
+    def test_parent_environment_unchanged(self, value, monkeypatch):
+        """Workers start with one OpenBLAS thread; the caller's
+        ``OPENBLAS_NUM_THREADS`` is as it was, set or not."""
+        if value is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        experiments.shutdown_pool()
+        estimate_risk(pool_plan(), threads=2)
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == value
+        pool = experiments._POOL
+        seen = pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result(timeout=60)
+        assert seen == "1"
+
+    @two_cores
+    def test_concurrent_runs_share_one_pool(self, pooled):
+        """More callers than cores, with short switch intervals: one pool
+        of two workers serves them all, and each run's bytes are its own
+        in-process bytes."""
+        experiments.shutdown_pool()
+        plans = [pool_plan(seed=seed, trials=6) for seed in range(4)]
+        expected = [estimates_to_csv(estimate_risk(p, threads=1)) for p in plans]
+        barrier = threading.Barrier(len(plans))
+        got, errors = {}, []
+
+        def run(k):
             try:
                 barrier.wait(timeout=60)
-                estimate_risk(pool_plan(seed=seed), threads=2)
+                got[k] = estimates_to_csv(estimate_risk(plans[k], threads=2))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
-        callers = [
-            threading.Thread(target=run, args=(seed,)) for seed in range(callers_n)
-        ]
+        callers = [threading.Thread(target=run, args=(k,)) for k in range(len(plans))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -670,14 +704,57 @@ class TestBlasPin:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert errors == []
-        assert set(seen) == {1}
-        assert get_threads() == 2
+        assert [got[k] for k in range(len(plans))] == expected
+        assert len(multiprocessing.active_children()) == 2
 
-    def test_same_bytes_without_a_blas_library(self, monkeypatch):
+    @two_cores
+    def test_no_child_alive_after_shutdown(self):
+        estimate_risk(pool_plan(), threads=2)
+        children = multiprocessing.active_children()
+        assert len(children) == 2
+        experiments.shutdown_pool()
+        assert not any(child.is_alive() for child in children)
+        assert multiprocessing.active_children() == []
+        assert experiments._POOL is None
+
+    @pytest.mark.parametrize(
+        "plan,error",
+        [
+            (small_plan(model=independent_model(), n=5, d=3), DegenerateModelError),
+            (small_plan(n=200_000, d=1, detectors=("count",), tau_count=0.1),
+             CapacityError),
+        ],
+        ids=["degenerate", "capacity"],
+    )
+    def test_worker_error_keeps_type_and_message(self, plan, error):
+        with pytest.raises(error) as local:
+            experiments.run_unit(plan.model, plan.n, plan.d, plan, 0, range(4))
+        future = experiments._process_pool(2).submit(
+            experiments.run_unit, plan.model, plan.n, plan.d, plan, 0, range(4)
+        )
+        with pytest.raises(error) as remote:
+            future.result(timeout=60)
+        assert type(remote.value) is error
+        assert str(remote.value) == str(local.value)
+
+    @two_cores
+    def test_dead_worker_raises_one_error_and_the_next_run_gets_a_pool(self):
         plan = pool_plan()
-        pinned = estimates_to_csv(estimate_risk(plan, threads=2))
-        monkeypatch.setattr(experiments, "_openblas_thread_functions", lambda: None)
-        assert estimates_to_csv(estimate_risk(plan, threads=2)) == pinned
+        expected = estimates_to_csv(estimate_risk(plan, threads=1))
+        experiments._process_pool(2)
+        victim = multiprocessing.active_children()[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=60)
+        assert not victim.is_alive()
+        with pytest.raises(DetectionError) as info:
+            estimate_risk(plan, threads=2)
+        assert type(info.value) is DetectionError
+        assert str(info.value) == (
+            "a worker process died while running risk point param=0.3 n=100 d=100"
+        )
+        assert info.value.__suppress_context__
+        assert experiments._POOL is None
+        assert estimates_to_csv(estimate_risk(plan, threads=2)) == expected
 
 
 class TestSweep:

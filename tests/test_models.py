@@ -205,6 +205,20 @@ class TestPairLLR:
             c = pair_llr_matrix(gauss(rho), x, y)
             assert np.array_equal(c, gaussian_pair_llr_matrix(rho, x, y))
 
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 0.95, -0.3])
+    @pytest.mark.parametrize("d", [2, 10, 100])
+    def test_in_place_gaussian_llr_bits(self, rho, d):
+        """The LLR built in place on the matrix product has the bits of the
+        out-of-place expression, for one pair and for a stack of three."""
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((3, 100, d))
+        y = rng.standard_normal((3, 100, d))
+        stack = pair_llr_matrix(gauss(rho), x, y)
+        for k in range(3):
+            expected = gaussian_pair_llr_matrix(rho, x[k], y[k])
+            assert np.array_equal(pair_llr_matrix(gauss(rho), x[k], y[k]), expected)
+            assert np.array_equal(stack[k], expected)
+
     def test_matrix_matches_scalar_discrete(self):
         rng = np.random.default_rng(12)
         model = diag_model()
