@@ -70,22 +70,19 @@ from .models import (
     sample_null_rng,
 )
 
-# exact_tv_small's time guard, in units of one product of its subset DP (2.3-5.2
-# ns on a 2-vCPU machine).  The DP makes n 2^(n-1) products for each of the
-# C(m^d + n - 1, n)^2 pairs of row multisets, as one array operation per
-# block of x-states, and an operation costs about TV_CALL_WORK products of
-# interpreter time besides (1.4-2.6 us at n = 14, d = 1).  Each block first
-# builds its rows' joint probabilities against all m^d rows, priced at
-# TV_ROW_WORK products an entry and feature.  That price was measured on a
-# build by one gather per feature (7.4 ns at n = 1, d = 14); the Kronecker
-# build takes under 1.8 ns (n = 1, d = 12: 0.37 s in all, 1.1 s before), so
-# the guard now over-prices this term and refuses no less than before.
+# exact_tv_small's time guard, in element operations of its array calls (see
+# _tv_work), fitted to its run times over 29 sizes from n = 1, d = 12 to
+# n = 60, d = 1 on a 2-vCPU machine, within about 25 % above 1 ms: an element
+# operation took 0.55-0.62 ns, a call 2.3-3.2 us besides (TV_CALL_WORK) and a
+# kernel entry 7 ns (TV_ROW_WORK), so the budget is about 0.6 s.
 TV_MAX_WORK = 10**9
-TV_CALL_WORK = 1_000
-TV_ROW_WORK = 3
-# scratch budget of one block of x-states in exact_tv_small; every product of
-# the subset DP touches all of it, so it is sized like a core's L2 cache
+TV_CALL_WORK = 4_000
+TV_ROW_WORK = 13
+# scratch budget of exact_tv_small besides its level tables: a column block's
+# gathered parents, a chunk's arrays and a kernel panel, sized like a core's
+# L2 cache; and the bound on the level tables, checked before they are built
 TV_BLOCK_BYTES = 1 << 22
+TV_TABLE_BYTES = 1 << 26
 
 # The one name-to-detector table: each entry binds its detector to a model,
 # n x d databases, a plan's thresholds and the run's count-plan table
@@ -533,7 +530,8 @@ def _run_points(
     appends a :class:`PointError` to ``error_sink`` when it is a list, else
     raises; an error raised in a worker reaches here with its type and
     message.  A worker process that dies raises one ``DetectionError``
-    naming the point, and the next run gets a new pool."""
+    naming the point and the likely cause, and the next run gets a new
+    pool."""
     workers = min(thread_count(threads), os.cpu_count() or 1)
     pooled = [
         workers > 1 and point_work(plan, n, d) >= POOL_MIN_WORK for _, _, n, d in points
@@ -589,7 +587,9 @@ def _run_points(
         param, _, n, d = points[index]
         raise DetectionError(
             f"a worker process died while running risk point param={param} "
-            f"n={n} d={d}"
+            f"n={n} d={d}; the likely cause is a script that starts a pooled "
+            f'run without `if __name__ == "__main__":`, which each worker '
+            f"process runs again when it imports the script"
         ) from None
     finally:
         for future in itertools.chain(
@@ -701,14 +701,21 @@ def exact_tv_small(model: DiscreteJointModel, n: int, d: int) -> tuple[float, fl
     dependent law, and the implied optimal average risk 1 - tv.
 
     Both laws are invariant under reordering the rows of either database, so
-    the sum of |P0 - P1| over database pairs runs over pairs of row multisets,
-    each weighted by its number of row orders.  P1 is the permanent of the
-    n x n matrix of matched row-pair probabilities over n!, computed by the
-    subset DP over column sets for all (x, y) state pairs of a block at once.
-    The sum is accumulated over blocks of x-states sized to
-    ``TV_BLOCK_BYTES``, so peak memory does not grow with the square of the
-    state count.  A run whose work (see :func:`_tv_work`) exceeds
-    ``TV_MAX_WORK`` raises ``CapacityError`` before any table is built."""
+    the sum of |P0 - P1| over database pairs runs over pairs of row
+    multisets, each weighted by its number of row orders.  P1 is perm(K[x,
+    y]) / n!, K being the matrix of row-pair probabilities over the R = m^d
+    row types.  The permanents come level by level: for k-multisets a + {r}
+    (r its last element) and M of row types, g_k[a + {r}, M] = sum over the
+    positions p of M of g_(k-1)[a, M - M_p] K[r, M_p] / k, so g_k is perm /
+    k!.  With both sides in colex order (see :func:`_colex_level`) the rows
+    of level k whose last element is r are one block, and their parents are
+    the first rows of level k - 1: each term is a slice times one kernel
+    row.  Level n is never stored; each block of it is reduced against p0
+    (x) p0 and the row-order weights at once.  A run whose work (see
+    :func:`_tv_work`) exceeds ``TV_MAX_WORK``, or whose level tables (see
+    :func:`_tv_table_bytes`) exceed ``TV_TABLE_BYTES``, raises
+    ``CapacityError`` before any table is built; the rest of its scratch
+    stays within ``TV_BLOCK_BYTES``."""
     if not isinstance(model, DiscreteJointModel):
         raise ValidationError("exact_tv_small enumerates discrete models only")
     if n < 1 or d < 1:
@@ -718,129 +725,305 @@ def exact_tv_small(model: DiscreteJointModel, n: int, d: int) -> tuple[float, fl
     if work > TV_MAX_WORK:
         raise CapacityError(
             f"exact enumeration needs at most {TV_MAX_WORK} units of work "
-            f"(subset-DP products); got {work:.3g} for m={m}, n={n}, d={d}"
+            f"(array element operations); got {work:.3g} for m={m}, n={n}, d={d}"
         )
-    row_symbols, states, orders = _enumeration_tables(model, n, d)
-    row_q = np.prod(model.marginal[row_symbols], axis=1)
+    rows = m**d
+    table_bytes = _tv_table_bytes(rows, n)
+    if table_bytes > TV_TABLE_BYTES:
+        raise CapacityError(
+            f"exact enumeration keeps at most {TV_TABLE_BYTES} bytes of level "
+            f"tables; got {table_bytes} for m={m}, n={n}, d={d}"
+        )
+    binom = _binomials(rows + n, n)
+    panel_rows = _tv_panel_rows(rows)
+
+    @functools.lru_cache(maxsize=1)  # kept while its row types are in use
+    def panel(base: int) -> np.ndarray:
+        return _row_pair_prob(model, d, np.arange(base, min(base + panel_rows, rows)))
+
+    g = np.ones((1, 1))  # g_0: the empty multisets
+    states = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n - 1):
+        states = _colex_level(states, rows, binom)
+        g = _tv_level(g, states, rows, binom, panel, panel_rows)
+    states = _colex_level(states, rows, binom)
+    row_q = np.prod(model.marginal[_row_symbols(m, d, np.arange(rows))], axis=1)
     p0 = np.prod(row_q[states], axis=1)
-    n_states = states.shape[0]
-    block = min(n_states, _tv_block_rows(n_states, n))
-    scratch = np.empty((_tv_slots(n), block, n_states))
-    total = 0.0
-    for lo in range(0, n_states, block):
-        x = states[lo : lo + block]
-        kernel_rows = [_row_pair_prob(model, row_symbols, x[:, i]) for i in range(n)]
-        bufs = scratch[:, : x.shape[0]]
-        p1 = _block_permanents(kernel_rows, states, bufs)
-        p1 /= math.factorial(n)
-        diff = bufs[n]
-        np.multiply.outer(p0[lo : lo + block], p0, out=diff)
-        diff -= p1
-        np.abs(diff, out=diff)
-        total += float(orders[lo : lo + block] @ diff @ orders)
-    tv = 0.5 * total
+    # level n holds n perm / n!, so it is compared with n p0 (x) p0
+    total = _tv_level(
+        g, states, rows, binom, panel, panel_rows, (p0 * n, p0, _row_orders(states))
+    )
+    tv = 0.5 * total / n
     return tv, 1.0 - tv
 
 
+def _tv_level(g, states, rows, binom, panel, panel_rows, weights=None):
+    """Level k of exact_tv_small, for its k-multisets ``states`` of
+    range(``rows``) in colex order, from g = g_(k-1), with the kernel rows
+    of the row types from ``base`` on in ``panel(base)``: the table g_k,
+    or, given the ``weights`` (n p0, p0, row orders) of level n, the
+    weighted sum of |n p0 (x) p0 - n g_n|.  The columns run in blocks, each
+    of which gathers once the parent columns of g for each position; the
+    rows then run in the chunks of :func:`_tv_chunks`, each reduced at once
+    at level n."""
+    k = states.shape[1]
+    size = len(states)
+    # parents[M, p]: the rank of M - M_p; column k - 1 is an x-row's parent
+    kept = np.arange(k - 1)
+    kept = kept + (kept >= np.arange(k)[:, None])  # row p: the positions but p
+    parents = np.empty((size, k), dtype=np.int64)
+    for p in range(k):
+        parents[:, p] = _colex_rank(states[:, kept[p]], binom)
+    width, rows_cap = _tv_level_shape(len(g), size, k)
+    chunks = [
+        (lo, hi, r_lo, r_hi, None if r_hi - r_lo == 1 else states[lo:hi, -1] - r_lo)
+        for lo, hi, r_lo, r_hi in _tv_chunks(rows, k, width, rows_cap, panel_rows)
+    ]
+    gathered_buf = np.empty(k * len(g) * width)
+    scratch = np.empty((5, rows_cap * width))
+    out = np.empty((size, size)) if weights is None else None
+    p0x, p0, orders = weights or (None, None, None)
+    total = 0.0
+    # every take below has its indices in range: mode="clip" lets it write
+    # straight to its out array instead of through a buffer
+    for c0 in range(0, size, width):
+        cols = slice(c0, min(c0 + width, size))
+        b = cols.stop - c0
+        if k > 1:
+            gathered = _view(gathered_buf, (k, len(g), b))
+            for p in range(k):
+                g.take(parents[cols, p], axis=1, out=gathered[p], mode="clip")
+        for lo, hi, r_lo, r_hi, r_index in chunks:
+            base = r_lo - r_lo % panel_rows
+            kernel = panel(base)[r_lo - base : r_hi - base]
+            term = _view(scratch[0], (hi - lo, b))
+            if k == 1:  # g_1 is the kernel itself
+                acc = kernel[:, cols]
+                if out is not None:
+                    out[lo:hi, cols] = acc
+            else:
+                acc = out[lo:hi, cols] if out is not None else _view(
+                    scratch[1], (hi - lo, b)
+                )
+                _tv_terms(
+                    acc, term, gathered, kernel, states[cols],
+                    parents[lo:hi, k - 1], r_index, scratch[2:],
+                )
+            if out is None:
+                np.multiply.outer(p0x[lo:hi], p0[cols], out=term)
+                term -= acc
+                np.abs(term, out=term)
+                total += float(orders[lo:hi] @ (term @ orders[cols]))
+    if out is None:
+        return total
+    out /= k
+    return out
+
+
+def _tv_terms(acc, term, gathered, kernel, y_states, parents, r_index, scratch):
+    """One chunk of level k >= 2 of exact_tv_small, into ``acc`` (rows x
+    columns): the sum over positions p of the gathered g_(k-1) columns of
+    ``y_states`` minus their element p, at the rows' ``parents``, times the
+    kernel row of each row's last element r at that element.  ``kernel``
+    holds the chunk's row types, and ``r_index`` is None when there is one,
+    whose parents are then a slice; else it names each row's kernel row."""
+    h, b = acc.shape
+    krow = _view(scratch[0], (len(kernel), b))
+    for p in range(y_states.shape[1]):
+        kernel.take(y_states[:, p], axis=1, out=krow, mode="clip")
+        if r_index is None:
+            src = gathered[p, parents[0] : parents[0] + h]
+            factor = krow
+        else:
+            src = gathered[p].take(
+                parents, axis=0, out=_view(scratch[1], (h, b)), mode="clip"
+            )
+            factor = krow.take(
+                r_index, axis=0, out=_view(scratch[2], (h, b)), mode="clip"
+            )
+        np.multiply(src, factor, out=term if p else acc)
+        if p:
+            acc += term
+
+
+def _view(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading elements of a flat scratch array, as a C-contiguous array
+    of ``shape``."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+def _binomials(top: int, k: int) -> np.ndarray:
+    """C(x, j) for 0 <= x < top and 0 <= j <= k, as an int64 table: column j
+    is the running sum of column j - 1."""
+    table = np.zeros((top, k + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for j in range(1, k + 1):
+        np.cumsum(table[:-1, j - 1], out=table[1:, j])
+    return table
+
+
+def _colex_rank(multisets: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """The colex rank of each sorted k-multiset a_0 <= ... <= a_(k-1) along
+    the last axis of ``multisets``: sum_i C(a_i + i, i + 1), the rank of the
+    k-subset {a_i + i} in the combinatorial number system (Knuth, TAOCP 4A,
+    7.2.1.3).  The k-multisets whose last element is below r take ranks 0
+    to C(r + k - 1, k) - 1."""
+    k = multisets.shape[-1]
+    return binom[multisets + np.arange(k), np.arange(1, k + 1)].sum(axis=-1)
+
+
+def _colex_level(prev: np.ndarray, rows: int, binom: np.ndarray) -> np.ndarray:
+    """The k-multisets of range(rows), sorted, in colex order, from the (k -
+    1)-multisets in colex order: those whose last element is r are the first
+    C(r + k - 1, k - 1) rows of ``prev``, each followed by r."""
+    k = prev.shape[1] + 1
+    last = np.repeat(np.arange(rows), binom[np.arange(rows) + k - 1, k - 1])
+    lead = np.arange(last.size) - binom[last + k - 1, k]
+    return np.concatenate((prev[lead], last[:, None]), axis=1)
+
+
+def _row_orders(states: np.ndarray) -> np.ndarray:
+    """The number of row orders n! / prod(c!) of each sorted row multiset,
+    c running over its multiplicities, as the running product of (i + 1) /
+    (its run length at i); it stays an integer at every step."""
+    run = np.zeros(len(states), dtype=np.int64)
+    orders = np.ones(len(states))
+    for i in range(1, states.shape[1]):
+        run = np.where(states[:, i] == states[:, i - 1], run + 1, 0)
+        orders *= i + 1
+        orders /= run + 1
+    return orders
+
+
+def _tv_level_shape(prev: int, size: int, k: int) -> tuple[int, int]:
+    """Columns per block and rows per chunk of level k of exact_tv_small, for
+    ``prev`` and ``size`` multisets at levels k - 1 and k: a column block's k
+    gathered parent tables (prev x width) take half of ``TV_BLOCK_BYTES``,
+    and a chunk's five scratch arrays (rows x width) a quarter, with at
+    least one row."""
+    width = max(1, min(size, TV_BLOCK_BYTES // (16 * k * prev), TV_BLOCK_BYTES // 160))
+    return width, max(1, TV_BLOCK_BYTES // (160 * width))
+
+
+def _tv_panel_rows(rows: int) -> int:
+    """Row types per kernel panel: a sixteenth of ``TV_BLOCK_BYTES``, so a
+    panel, its successor and the Kronecker build of one stay within a
+    quarter."""
+    return max(1, TV_BLOCK_BYTES // (128 * rows))
+
+
+def _tv_chunks(rows: int, k: int, width: int, rows_cap: int, panel_rows: int):
+    """The row chunks ``(lo, hi, r_lo, r_hi)`` of level k: rows lo to hi - 1,
+    whose last elements run from r_lo to r_hi - 1.  The block of row type r
+    has C(r + k - 1, k - 1) rows.  A block of more than ``rows_cap`` rows,
+    or of more than ``TV_CALL_WORK`` elements per column block, is its own
+    chunk, cut into pieces of at most ``rows_cap`` rows; smaller ones are
+    run together, up to ``rows_cap`` rows within one kernel panel, since
+    there the interpreter time of a chunk's calls outweighs gathering its
+    parents.  At level 1, where each block is one kernel row, all blocks
+    are run together."""
+    run = None  # (first row, first row type) of the open run of small blocks
+    lo = 0
+    for r in range(rows):
+        count = math.comb(r + k - 1, k - 1)
+        small = count <= rows_cap and (k == 1 or count * width <= TV_CALL_WORK)
+        if run is not None and (
+            not small or lo + count - run[0] > rows_cap or r % panel_rows == 0
+        ):
+            yield run[0], lo, run[1], r
+            run = None
+        if not small:
+            for piece in range(lo, lo + count, rows_cap):
+                yield piece, min(piece + rows_cap, lo + count), r, r + 1
+        elif run is None:
+            run = (lo, r)
+        lo += count
+    if run is not None:
+        yield run[0], lo, run[1], rows
+
+
 def _tv_work(m: int, n: int, d: int) -> float:
-    """The work of exact_tv_small in products (see ``TV_MAX_WORK``), for S =
-    C(m^d + n - 1, n) row multisets in B blocks: n 2^(n-1) (S^2 +
-    TV_CALL_WORK B) for the subset DP and TV_ROW_WORK n d S m^d for the
-    kernel rows.  It is inf where n 2^(n-1) or m^(2d), each a lower bound on
-    it, alone exceeds ``TV_MAX_WORK``, so no huge integer is ever formed."""
+    """The work of exact_tv_small in array element operations (see
+    ``TV_MAX_WORK``), counted over its plan, each array call costing
+    ``TV_CALL_WORK`` besides.  Per level k >= 2 and column block: k gathers
+    of parent columns; per chunk, k kernel-row gathers, k products and k - 1
+    sums, two gathers more per term when the chunk runs several blocks
+    together.  Level 1 copies the kernel rows, a level below n is scaled
+    once, and level n reduces each chunk in five calls.  A level's set-up
+    costs ``4 (k + 3)`` calls, and the kernel rows ``TV_ROW_WORK`` an entry,
+    once when they are one panel and per level and column block otherwise.
+    It is inf where (m^d)^2 or C(m^d + n - 1, n)^2 (2n - 1), each a lower
+    bound on it, alone exceeds ``TV_MAX_WORK``, so no huge integer is ever
+    formed."""
     log2_budget = math.log2(TV_MAX_WORK)
-    if n - 1 + math.log2(n) > log2_budget or 2 * d * math.log2(m) > log2_budget:
+    if 2 * d * math.log2(m) > log2_budget:
         return math.inf
     rows = m**d
-    states = math.comb(rows + n - 1, n)
-    blocks = -(-states // _tv_block_rows(states, n))
-    dp = n * 2 ** (n - 1) * (states**2 + TV_CALL_WORK * blocks)
-    return dp + TV_ROW_WORK * n * d * states * rows
+    log2_states = (
+        math.lgamma(rows + n) - math.lgamma(n + 1) - math.lgamma(rows)
+    ) / math.log(2.0)
+    if 2 * log2_states + math.log2(2 * n - 1) > log2_budget:
+        return math.inf
+    panel_rows = _tv_panel_rows(rows)
+    kernel_builds = 1 if panel_rows >= rows else 0
+    work = 0.0
+    for k in range(1, n + 1):
+        prev, size = math.comb(rows + k - 2, k - 1), math.comb(rows + k - 1, k)
+        width, rows_cap = _tv_level_shape(prev, size, k)
+        blocks = -(-size // width)
+        last = k == n
+        calls = k * (k > 1)  # per column block
+        elements = k * prev * (k > 1)  # per column
+        for lo, hi, r_lo, r_hi in _tv_chunks(rows, k, width, rows_cap, panel_rows):
+            if k == 1:
+                calls += 5 if last else 1
+                elements += (hi - lo) * (4 if last else 1)
+                continue
+            gathers = 2 * k if r_hi - r_lo > 1 else 0
+            calls += 3 * k - 1 + gathers + 5 * last
+            elements += (hi - lo) * (2 * k - 1 + gathers + 4 * last) + k * (r_hi - r_lo)
+        elements += 0 if last else size  # the scaling by 1 / k
+        work += elements * size + TV_CALL_WORK * (calls * blocks + 4 * (k + 3))
+        if panel_rows < rows:
+            kernel_builds += blocks
+    return work + TV_ROW_WORK * rows * rows * kernel_builds
 
 
-def _block_permanents(kernel_rows, states: np.ndarray, bufs: np.ndarray) -> np.ndarray:
-    """perm(A) for every (x, y) state pair of a block, A[i, j] being the
-    probability of x's row i paired with y's row j, written to one of the
-    ``_tv_slots(n)`` (block, n_states) arrays of ``bufs``.
-
-    f[S] for a column set S of size k sums f[S - {j}] * A[k-1, j] over j in
-    S, so f[all columns] is the permanent: n * 2^(n-1) array products.
-    ``bufs`` holds row k-1 of A (n slots), one product, and two levels of f,
-    so no array is allocated per product."""
-    n = len(kernel_rows)
-    row, product = bufs[:n], bufs[n]
-    free = list(range(n + 1, len(bufs)))
-    level: dict[int, int] = {}  # column set -> slot of f
-    for j in range(n):  # f[{j}] = A[0, j]
-        level[1 << j] = free.pop()
-        bufs[level[1 << j]][...] = kernel_rows[0][:, states[:, j]]
-    for k in range(2, n + 1):
-        for j in range(n):
-            row[j][...] = kernel_rows[k - 1][:, states[:, j]]
-        nxt = {}
-        for cols in itertools.combinations(range(n), k):
-            mask = sum(1 << j for j in cols)
-            slot = free.pop()
-            acc = bufs[slot]
-            for t, j in enumerate(cols):
-                out = acc if t == 0 else product
-                np.multiply(bufs[level[mask ^ (1 << j)]], row[j], out=out)
-                if t:
-                    acc += product
-            nxt[mask] = slot
-        free.extend(level.values())
-        level = nxt
-    return bufs[level[(1 << n) - 1]]
-
-
-def _tv_slots(n: int) -> int:
-    """(block, n_states) arrays of exact_tv_small's scratch: a row of the
-    kernel matrix, one product (later the block's |P0 - P1|), and the two
-    widest adjacent levels of the subset DP."""
-    widest = max(math.comb(n, k - 1) + math.comb(n, k) for k in range(1, n + 1))
-    return n + 1 + widest
-
-
-def _tv_block_rows(n_states: int, n: int) -> int:
-    """x-states per block: the scratch and the n per-block kernel rows (at
-    most n_states wide each) stay within ``TV_BLOCK_BYTES``."""
-    return max(1, TV_BLOCK_BYTES // (8 * n_states * (_tv_slots(n) + n)))
-
-
-def _enumeration_tables(model: DiscreteJointModel, n: int, d: int):
-    """Tables for database enumeration up to row order: the symbol tuple of
-    each possible row, one sorted tuple of row ids per row multiset of an
-    n-row database, and the number of row orders of each multiset."""
-    m = model.alphabet_size
-    row_symbols = np.array(
-        list(itertools.product(range(m), repeat=d)), dtype=np.int64
-    )  # (m^d, d)
-    multisets = list(itertools.combinations_with_replacement(range(m**d), n))
-    orders = [
-        math.factorial(n)
-        // math.prod(math.factorial(ids.count(r)) for r in set(ids))
-        for ids in multisets
-    ]
-    return (
-        row_symbols,
-        np.array(multisets, dtype=np.int64),
-        np.array(orders, dtype=np.float64),
+def _tv_table_bytes(rows: int, n: int) -> int:
+    """Bytes that exact_tv_small keeps besides its ``TV_BLOCK_BYTES`` of
+    scratch, for R = ``rows`` row types and S = C(R + n - 1, n) row
+    multisets: the level tables g_(n-2) and g_(n-1), alive together while
+    the second is built, and eight int64 or float arrays of S x n besides
+    (the states, their parent ranks and the temporaries that build them)."""
+    prev2, prev, size = (
+        math.comb(rows + k - 1, k) if k >= 0 else 0 for k in (n - 2, n - 1, n)
     )
+    return 8 * (prev2 * prev2 + prev * prev + 8 * size * n)
 
 
-def _row_pair_prob(model: DiscreteJointModel, row_symbols: np.ndarray, rows):
-    """Joint probability of each row in ``rows`` paired with every possible
-    row: shape (len(rows), m^d).
+def _row_symbols(m: int, d: int, rows: np.ndarray) -> np.ndarray:
+    """The d symbols of each row type in ``rows``, the first feature's most
+    significant: shape (len(rows), d)."""
+    return rows[:, None] // m ** np.arange(d - 1, -1, -1) % m
 
-    Rows are numbered with the first feature's symbol most significant, so
-    each row of the result is the Kronecker product of the rows of the joint
-    table its symbols pick, built feature by feature.  Its entries are the
-    per-feature products taken left to right."""
-    x = row_symbols[rows]
+
+def _row_pair_prob(model: DiscreteJointModel, d: int, rows: np.ndarray) -> np.ndarray:
+    """Joint probability of each row type in ``rows`` paired with every row
+    type: shape (len(rows), m^d).
+
+    Row types are numbered with the first feature's symbol most significant,
+    so each row of the result is the Kronecker product of the rows of the
+    joint table its symbols pick, built feature by feature.  Its entries are
+    the per-feature products taken left to right."""
+    x = _row_symbols(model.alphabet_size, d, rows)
     out = model.joint[x[:, 0]]
-    for feature in range(1, x.shape[1]):
+    for feature in range(1, d):
         factor = model.joint[x[:, feature]]
-        out = (out[:, :, None] * factor[:, None, :]).reshape(len(rows), -1)
+        nxt = np.empty((len(rows), out.shape[1], model.alphabet_size))
+        # one call per symbol, each with a long inner loop
+        for symbol in range(model.alphabet_size):
+            np.multiply(out, factor[:, symbol, None], out=nxt[:, :, symbol])
+        out = nxt.reshape(len(rows), -1)
     return out
 
 

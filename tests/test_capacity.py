@@ -73,8 +73,8 @@ GUARDED = {
     "gaussian-profile": lambda: functools.partial(gaussian_profile, 1.0 - 1e-7),
     # C(66, 3)^2 = 2.1e9 pairs of row multisets
     "exact-tv-states": lambda: functools.partial(exact_tv_small, diag_model(), 3, 6),
-    # 17 blocks of n 2^(n-1) = 5.2e5 DP steps each
-    "exact-tv-n": lambda: functools.partial(exact_tv_small, diag_model(), 16, 1),
+    # 20 levels of the recurrence, 1.1e9 element operations: the least n refused at d=2
+    "exact-tv-n": lambda: functools.partial(exact_tv_small, diag_model(), 20, 2),
     "np-oracle": lambda: functools.partial(
         PreparedNpOracle, diag_model(), NP_ORACLE_MAX_N + 1, 1
     ),

@@ -235,7 +235,7 @@ class TestCLI:
     def test_tv_oracle_capacity_exit_2(self, model_file, capsys):
         assert (
             run_cli(
-                "tv-oracle", "--model", model_file(DIAG_MODEL), "--n", 16, "--d", 1
+                "tv-oracle", "--model", model_file(DIAG_MODEL), "--n", 20, "--d", 2
             )
             == 2
         )

@@ -6,12 +6,16 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbdetect import cli, detectors, experiments
 from dbdetect import rng as rngmod
@@ -47,7 +51,26 @@ from helpers import (
     gauss,
     independent_model,
     random_discrete_model,
+    subset_dp_exact_tv,
 )
+
+TV_MODELS = {
+    "bernoulli": lambda: make_bernoulli(0.6, 0.3),
+    "diag": diag_model,
+    "random3": lambda: random_discrete_model(np.random.default_rng(23), 3),
+}
+
+
+def tv_oracle_grid():
+    """(model name, n, d) for every n <= 6 and d whose C(m^d + n - 1, n) row
+    multisets number at most 2,000."""
+    for name, model in TV_MODELS.items():
+        m = model().alphabet_size
+        for n in range(1, 7):
+            d = 1
+            while math.comb(m**d + n - 1, n) <= 2000:
+                yield name, n, d
+                d += 1
 
 
 def small_plan(**kwargs):
@@ -750,11 +773,42 @@ class TestProcessPool:
             estimate_risk(plan, threads=2)
         assert type(info.value) is DetectionError
         assert str(info.value) == (
-            "a worker process died while running risk point param=0.3 n=100 d=100"
+            "a worker process died while running risk point param=0.3 n=100 "
+            "d=100; the likely cause is a script that starts a pooled run "
+            'without `if __name__ == "__main__":`, which each worker process '
+            "runs again when it imports the script"
         )
         assert info.value.__suppress_context__
         assert experiments._POOL is None
         assert estimates_to_csv(estimate_risk(plan, threads=2)) == expected
+
+    @two_cores
+    def test_unguarded_script_is_named_as_the_cause(self, tmp_path):
+        """A script that starts a pooled run at module level, without the
+        ``__main__`` guard, fails with the one ``DetectionError``, which
+        names the guard: each spawned worker imports the script again and
+        dies starting a pool of its own."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from dbdetect.experiments import TrialPlan, estimate_risk\n"
+            "from dbdetect.models import GaussianModel\n"
+            "estimate_risk(TrialPlan(model=GaussianModel(0.3), n=100, d=100,\n"
+            "    trials=40, seed=12, detectors=('sum',)), threads=2)\n"
+        )
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            env=env, timeout=300,
+        )
+        assert result.returncode == 1
+        (error,) = [
+            line for line in result.stderr.splitlines()
+            if line.startswith("dbdetect.errors.DetectionError: ")
+        ]
+        assert "a worker process died" in error
+        assert 'without `if __name__ == "__main__":`' in error
 
 
 class TestSweep:
@@ -838,15 +892,42 @@ class TestExactTV:
 
     def test_capacity_guard(self):
         """Refused over the work budget, by pairs of row multisets (n=3,
-        d=6), by DP steps per block (n=16, d=1) and by kernel rows (n=1,
-        d=13); runs of about a second at n=6, d=3 and n=4, d=4 are within
-        it."""
-        for n, d in ((3, 6), (16, 1), (1, 13)):
+        d=6), by levels of the recurrence (n=20, d=2, the smallest n refused
+        at d=2) and by kernel rows (n=1, d=13); n=6, d=3, n=4, d=4, n=14,
+        d=1, n=16, d=1 and n=1, d=12 are within it."""
+        for n, d in ((3, 6), (20, 2), (1, 13)):
             assert experiments._tv_work(2, n, d) > experiments.TV_MAX_WORK
             with pytest.raises(CapacityError):
                 exact_tv_small(diag_model(), n, d)
-        for n, d in ((6, 3), (4, 4), (14, 1), (1, 12)):
+        assert experiments._tv_work(2, 19, 2) <= experiments.TV_MAX_WORK
+        for n, d in ((6, 3), (4, 4), (14, 1), (16, 1), (1, 12)):
             assert experiments._tv_work(2, n, d) <= experiments.TV_MAX_WORK
+            table_bytes = experiments._tv_table_bytes(2**d, n)
+            assert table_bytes <= experiments.TV_TABLE_BYTES
+
+    def test_table_byte_guard(self, monkeypatch):
+        """A run whose level tables exceed ``TV_TABLE_BYTES`` is refused
+        by arithmetic, before any table is built."""
+        table_bytes = experiments._tv_table_bytes(8, 6)
+        monkeypatch.setattr(experiments, "TV_TABLE_BYTES", table_bytes - 1)
+        with pytest.raises(CapacityError, match="bytes of level tables"):
+            exact_tv_small(make_bernoulli(0.6, 0.3), 6, 3)
+        monkeypatch.setattr(experiments, "TV_TABLE_BYTES", table_bytes)
+        exact_tv_small(make_bernoulli(0.6, 0.3), 6, 3)
+
+    @pytest.mark.parametrize("n,d", [(4, 4), (1, 12)])
+    def test_peak_memory_is_bounded(self, n, d):
+        """The traced peak stays within the level tables and
+        ``TV_BLOCK_BYTES``: no R x R kernel (134 MB at n=1, d=12) and no
+        whole gather table of level n - 1 by level n."""
+        bound = experiments._tv_table_bytes(2**d, n) + experiments.TV_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            exact_tv_small(make_bernoulli(0.6, 0.3), n, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_oracle_risk_is_the_optimal_risk_at_fixed_d(self):
         """In the paper's fixed-d regime, n=6 and d=3: the mixture oracle's
@@ -884,16 +965,88 @@ class TestExactTV:
         for feature in range(d):
             symbols = row_symbols[:, feature]
             expected *= model.joint[symbols[rows][:, None], symbols[None, :]]
-        got = experiments._row_pair_prob(model, row_symbols, rows)
+        got = experiments._row_pair_prob(model, d, rows)
         np.testing.assert_array_equal(got, expected)
 
     def test_states_span_several_blocks(self, monkeypatch):
         # 2^(3*2) = 64 ordered x-databases are 20 row multisets
         monkeypatch.setattr(experiments, "TV_BLOCK_BYTES", 4096)
-        assert experiments._tv_block_rows(20, 3) < 20
+        width, _ = experiments._tv_level_shape(10, 20, 3)
+        assert width < 20
         model = make_bernoulli(0.6, 0.3)
         tv, _ = exact_tv_small(model, 3, 2)
         assert tv == pytest.approx(dense_exact_tv(model, 3, 2), abs=1e-13)
+
+    @pytest.mark.parametrize("model_name,n,d", list(tv_oracle_grid()))
+    def test_matches_subset_dp(self, model_name, n, d):
+        """On every size with at most 2,000 row multisets up to n=6, TV is
+        within 1e-13 of the subset DP over column sets."""
+        model = TV_MODELS[model_name]()
+        tv, risk = exact_tv_small(model, n, d)
+        assert tv == pytest.approx(subset_dp_exact_tv(model, n, d), abs=1e-13)
+        assert risk == 1.0 - tv
+
+    @pytest.mark.parametrize(
+        "model_name,n,d,block_bytes",
+        [
+            ("bernoulli", 3, 4, 1 << 15),
+            ("diag", 6, 2, 1 << 14),
+            ("random3", 4, 2, 1 << 14),
+            ("bernoulli", 2, 5, 1 << 15),
+            ("diag", 1, 8, 1 << 15),
+        ],
+    )
+    def test_matches_subset_dp_in_small_blocks(
+        self, monkeypatch, model_name, n, d, block_bytes
+    ):
+        """With ``TV_BLOCK_BYTES`` small, a level runs in several column
+        blocks and in chunks of each kind (pieces of one row type's block,
+        runs of several blocks) and the kernel in several panels, and TV is
+        unchanged."""
+        monkeypatch.setattr(experiments, "TV_BLOCK_BYTES", block_bytes)
+        model = TV_MODELS[model_name]()
+        rows = model.alphabet_size**d
+        panel_rows = experiments._tv_panel_rows(rows)
+        kinds = set()
+        for k in range(1, n + 1):
+            prev, size = math.comb(rows + k - 2, k - 1), math.comb(rows + k - 1, k)
+            width, rows_cap = experiments._tv_level_shape(prev, size, k)
+            kinds.add("column blocks" if width < size else "one block")
+            for lo, hi, r_lo, r_hi in experiments._tv_chunks(
+                rows, k, width, rows_cap, panel_rows
+            ):
+                assert hi - lo <= rows_cap
+                assert r_lo // panel_rows == (r_hi - 1) // panel_rows
+                kinds.add("run" if r_hi - r_lo > 1 else "piece")
+        assert "column blocks" in kinds
+        assert ("run" in kinds) == (panel_rows > 1)  # runs stay within a panel
+        assert ("piece" in kinds) == (n > 1 or panel_rows == 1)
+        assert (panel_rows < rows) == (d >= 5)
+        tv, _ = exact_tv_small(model, n, d)
+        assert tv == pytest.approx(subset_dp_exact_tv(model, n, d), abs=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 9), k=st.integers(1, 5))
+    def test_colex_rank_is_a_bijection_in_order(self, rows, k):
+        """The colex rank maps the k-multisets of range(rows), sorted by
+        their largest elements first, one to one and in order onto
+        range(C(rows + k - 1, k)), and the level construction lists them in
+        that order."""
+        multisets = sorted(
+            itertools.combinations_with_replacement(range(rows), k),
+            key=lambda ids: ids[::-1],
+        )
+        binom = experiments._binomials(rows + k, k)
+        ranks = experiments._colex_rank(np.array(multisets), binom)
+        np.testing.assert_array_equal(ranks, np.arange(math.comb(rows + k - 1, k)))
+        states = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(k):
+            states = experiments._colex_level(states, rows, binom)
+        np.testing.assert_array_equal(states, np.array(multisets))
+
+    def test_row_orders(self):
+        states = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 2], [1, 1, 2], [2, 2, 2]])
+        np.testing.assert_array_equal(experiments._row_orders(states), [1, 3, 6, 3, 1])
 
 
 class TestBoundReport:
