@@ -29,27 +29,24 @@ from .models import (
     pair_llr_matrix,
 )
 
-# the mixture oracle's subset DP costs O(2^n n) a matrix: 0.52-0.53 s and 42 MB
-# of peak RSS above an idle process for one matrix at n = 20 (27-28 ms at
+# the mixture oracle's subset DP costs O(2^n n) a matrix: 0.38-0.41 s and 29 MB
+# of peak RSS above an idle process for one matrix at n = 20 (19-20 ms at
 # n = 16) on a 2-vCPU machine
 NP_ORACLE_MAX_N = 20
 # column sets per chunk of a level of that DP, which bounds the scratch of a
 # matrix solved alone: at most _PERMANENT_SCRATCH_ARRAYS arrays of 8-byte
-# entries, one per column set and set bit (5.05 arrays of n _PERMANENT_CHUNK
+# entries, one per column set and set bit (3.85 arrays of n _PERMANENT_CHUNK
 # entries traced at n = 20)
 _PERMANENT_CHUNK = 1 << 14
-_PERMANENT_SCRATCH_ARRAYS = 6
-# bytes of the DP's arrays for a sub-stack of B > 1 matrices: B (16 2^n +
-# 24 n^2 + 64) of tables, row terms and final logs, 9 2^n of level index, and
-# the scratch of a whole level.  Larger sub-stacks save little interpreter
-# time and grow the working set: 100 matrices at n = 8 took 3.1 ms in one
-# sub-stack, 3.9 ms in sub-stacks of 27 (this budget) and 7.1 ms in ones of
-# 6, and one sub-stack of 100 raised the peak RSS of the benchmark's exact
-# workload by 2 MB (4.5 %).  A matrix whose arrays alone exceed it, from
-# n = 12 on, is a stack of one
+_PERMANENT_SCRATCH_ARRAYS = 4
+# bytes of the DP's arrays for a sub-stack of B > 1 matrices: B (8 2^n + 8)
+# of tables and final logs, 9 2^n of level index, and the scratch of a whole
+# level.  It bounds the DP's working set however many trials a block holds,
+# and larger sub-stacks save little interpreter time: 100 matrices at n = 8
+# took 2.3-2.5 ms in one sub-stack, 2.6 ms in sub-stacks of 47 (this budget)
+# and 5.1 ms in ones of 6.  A matrix whose arrays alone exceed it, from
+# n = 13 on, is a stack of one
 _PERMANENT_STACK_BYTES = 1 << 19
-# weights below 2^-(2^40) of their row maximum are held at that floor
-_PERMANENT_MIN_EXP = -(2.0**40)
 # entries per block of the Monte-Carlo pd kernel's z draws and arithmetic
 _PD_BLOCK_ELEMS = 1 << 14
 # matched rows a Gaussian count plan's Monte-Carlo pd draws by default
@@ -286,9 +283,11 @@ class PreparedCount(PreparedDetector):
     tau_count is the one the pd plan counts exceedances of.
 
     The statistic needs no ``pd``, so ``plan_source`` (a callable returning
-    the :class:`CountTestPlan`) runs only when ``settle`` is first called:
-    the risk harness records count statistics while the plan is estimated.
-    A plan with pd = 0 is rejected there, since every statistic would reach
+    the :class:`CountTestPlan`) runs only when ``settle`` is first called.
+    A risk point settles its plan before it collects its blocks; a block
+    binds its detectors again (``experiments.run_unit``, in process or in a
+    worker) and never settles them, so it runs no pd pass of its own.
+    ``settle`` rejects a plan with pd = 0, since every statistic would reach
     its threshold.
     """
 
@@ -637,64 +636,47 @@ def _permanent_stack_size(n: int) -> int:
     """Matrices per sub-stack of the oracle's subset DP at n: the most whose
     arrays fit ``_PERMANENT_STACK_BYTES`` (see there), at least one."""
     widest = max(k * math.comb(n, k) for k in range(1, n + 1))
-    per_matrix = 16 * (1 << n) + 24 * n * n + 64 + 8 * _PERMANENT_SCRATCH_ARRAYS * widest
+    per_matrix = 8 * (1 << n) + 8 + 8 * _PERMANENT_SCRATCH_ARRAYS * widest
     return max(1, (_PERMANENT_STACK_BYTES - 9 * (1 << n)) // per_matrix)
 
 
 def _stack_log_permanent_ratios(c: np.ndarray) -> np.ndarray:
     """log(perm(exp c) / n!) of each matrix of a ``(B, n, n)`` stack ``c``.
 
-    Subset DP over column sets: f[S] for |S| = k sums f[S - {j}] * exp(c[k-1, j])
-    over j in S, so f[all columns] is the permanent; O(2^n n) work a matrix.
-    Each row is first shifted by its maximum and every value is kept as a
-    mantissa in [0.5, 1) times an integer power of two, so no term underflows
-    however far the best matching sits below the row maxima, and all terms
-    are positive.  Normalising by float(n!), exact for n <= 20, makes the
-    all-zero matrix of an independent model give exactly 0.
+    Subset DP over column sets in log space: for |S| = k, log f[S] is the
+    log-sum-exp over j in S of log f[S - {j}] + c[k-1, j], so log f[all
+    columns] is the log permanent; O(2^n n) work a matrix.  A set's terms
+    are exponentiated relative to the largest, which is exactly 1, so no
+    sum overflows or underflows to 0, however far the best matching sits
+    below the row maxima.  The normaliser log n! is accumulated as the DP
+    accumulates an all-zero matrix, np.log(k) added at level k, so an
+    independent model gives exactly 0.
 
-    The DP runs level by level for the whole stack, with ``(B, 2^n)`` tables
-    and a chunk of up to ``_PERMANENT_CHUNK`` of a level's column sets for
-    all B matrices at once.  Its terms are gathered by ``np.take``, which
+    The DP runs level by level for the whole stack, with a ``(B, 2^n)``
+    table and a chunk of up to ``_PERMANENT_CHUNK`` of a level's column sets
+    for all B matrices at once.  Its terms are gathered by ``np.take``, which
     builds them C-contiguous, so each set's k terms are summed as one
     contiguous row, in the order a single matrix sums them: a strided row
     would be summed one term after another instead of pairwise, and move
     some values by an ulp or more."""
     b, n = c.shape[0], c.shape[-1]
-    shift = c.max(axis=2)
-    log2_a = np.maximum((c - shift[:, :, None]) / math.log(2.0), _PERMANENT_MIN_EXP)
-    a_exp = np.floor(log2_a)
-    a_mant = np.exp2(log2_a - a_exp)
-    a_exp = a_exp.astype(np.int64)
-    del log2_a
     popcount = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
     by_level = np.argsort(popcount, kind="stable")
     level_start = np.concatenate(([0], np.cumsum(np.bincount(popcount))))
-    mant = np.zeros((b, 1 << n))
-    expo = np.zeros((b, 1 << n), dtype=np.int64)
-    mant[:, 0] = 1.0
+    table = np.zeros((b, 1 << n))
     bits = np.arange(n, dtype=np.int64)
     for k in range(1, n + 1):
-        row_mant, row_exp = a_mant[:, k - 1], a_exp[:, k - 1]
+        row = c[:, k - 1]
         for lo in range(level_start[k], level_start[k + 1], _PERMANENT_CHUNK):
             level = by_level[lo : min(lo + _PERMANENT_CHUNK, level_start[k + 1])]
             cols = np.nonzero((level[:, None] >> bits) & 1)[1].reshape(-1, k)
-            src = level[:, None] ^ (1 << cols)
-            term_exp = np.take(expo, src, axis=1)
-            term_exp += np.take(row_exp, cols, axis=1)
-            top = term_exp.max(axis=2)
-            term_exp -= top[:, :, None]
-            terms = np.take(mant, src, axis=1)
-            terms *= np.take(row_mant, cols, axis=1)
-            level_mant, level_exp = np.frexp(
-                np.ldexp(terms, term_exp, out=terms).sum(axis=2)
-            )
-            mant[:, level] = level_mant
-            expo[:, level] = top + level_exp
-            del terms, term_exp  # not held while the next chunk's are built
-    fact_mant, fact_exp = math.frexp(float(math.factorial(n)))
-    # math.log, not np.log, whose SIMD loops need not round as libm does
-    log_mant = [math.log(m) for m in (mant[:, -1] / fact_mant).tolist()]
-    return shift.sum(axis=1) + log_mant + (expo[:, -1] - fact_exp) * math.log(2.0)
+            terms = np.take(table, level[:, None] ^ (1 << cols), axis=1)
+            terms += np.take(row, cols, axis=1)
+            top = terms.max(axis=2)
+            terms -= top[:, :, None]
+            table[:, level] = top + np.log(np.exp(terms, out=terms).sum(axis=2))
+            del terms  # not held while the next chunk's are built
+    return table[:, -1] - sum(np.log(np.arange(1.0, n + 1)).tolist())
 
 
 def np_oracle(

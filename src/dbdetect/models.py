@@ -353,10 +353,10 @@ def pair_llr_matrix(model: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarr
         )
     table = model.llr_table
     out = np.zeros(x.shape[:-1] + y.shape[-2:-1])
+    y_hot = [(y_t == b).astype(np.float64) for b in range(model.alphabet_size)]
     for a in range(model.alphabet_size):
         xa = (x == a).astype(np.float64)
-        for b in range(model.alphabet_size):
-            yb = (y_t == b).astype(np.float64)
+        for b, yb in enumerate(y_hot):
             out += table[a, b] * (xa @ yb)
     return out
 

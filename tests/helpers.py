@@ -24,7 +24,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from dbdetect import rng as rngmod
-from dbdetect.detectors import _PERMANENT_CHUNK, _PERMANENT_MIN_EXP
+from dbdetect.detectors import _PERMANENT_CHUNK
 from dbdetect.errors import CapacityError
 from dbdetect.exponents import llr_atoms
 from dbdetect.models import DiscreteJointModel, GaussianModel, make_bernoulli
@@ -461,43 +461,26 @@ def partition_sum_second_moment(profile: SpectralProfile, n: int, d: int) -> flo
 
 
 def per_pair_log_permanent_ratio(c: np.ndarray) -> float:
-    """log(perm(exp c) / n!) of one finite square matrix by the subset DP
-    over column sets, one matrix at a time, with the same frexp scaling and
-    level chunks as ``detectors._log_permanent_ratios``.  The stacked kernel
-    runs this DP for a whole stack and must return each of its values bit
-    for bit."""
+    """log(perm(exp c) / n!) of one finite square matrix by the log-space
+    subset DP over column sets, one matrix at a time, with the same level
+    chunks and log-sum-exp as ``detectors._log_permanent_ratios``.  The
+    stacked kernel runs this DP for a whole stack and must return each of its
+    values bit for bit."""
     n = c.shape[0]
-    shift = c.max(axis=1)
-    log2_a = np.maximum((c - shift[:, None]) / math.log(2.0), _PERMANENT_MIN_EXP)
-    a_exp = np.floor(log2_a)
-    a_mant = np.exp2(log2_a - a_exp)
-    a_exp = a_exp.astype(np.int64)
     masks = np.arange(1 << n, dtype=np.int64)
     popcount = np.bitwise_count(masks)
     by_level = np.argsort(popcount, kind="stable")
     level_start = np.concatenate(([0], np.cumsum(np.bincount(popcount))))
-    mant = np.zeros(1 << n)
-    expo = np.zeros(1 << n, dtype=np.int64)
-    mant[0] = 1.0
+    table = np.zeros(1 << n)
     bits = np.arange(n, dtype=np.int64)
     for k in range(1, n + 1):
-        row_mant, row_exp = a_mant[k - 1], a_exp[k - 1]
         for lo in range(level_start[k], level_start[k + 1], _PERMANENT_CHUNK):
             level = by_level[lo : min(lo + _PERMANENT_CHUNK, level_start[k + 1])]
             cols = np.nonzero((level[:, None] >> bits) & 1)[1].reshape(-1, k)
-            src = level[:, None] ^ (1 << cols)
-            term_exp = expo[src] + row_exp[cols]
-            top = term_exp.max(axis=1)
-            total = np.ldexp(mant[src] * row_mant[cols], term_exp - top[:, None])
-            level_mant, level_exp = np.frexp(total.sum(axis=1))
-            mant[level] = level_mant
-            expo[level] = top + level_exp
-    fact_mant, fact_exp = math.frexp(float(math.factorial(n)))
-    return (
-        float(shift.sum())
-        + math.log(mant[-1] / fact_mant)
-        + (int(expo[-1]) - fact_exp) * math.log(2.0)
-    )
+            terms = table[level[:, None] ^ (1 << cols)] + c[k - 1][cols]
+            top = terms.max(axis=1)
+            table[level] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    return float(table[-1]) - sum(np.log(np.arange(1.0, n + 1)).tolist())
 
 
 def permutation_log_statistic(c: np.ndarray) -> float:

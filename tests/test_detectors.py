@@ -1,6 +1,10 @@
 """Detectors: scan, sum, count, and the exact mixture oracle."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +17,6 @@ from dbdetect.detectors import (
     CountPlans,
     CountTestPlan,
     PairCache,
-    _PERMANENT_MIN_EXP,
     _exact_pd,
     _log_permanent_ratios,
     _monte_carlo_pd,
@@ -232,8 +235,6 @@ class TestCountPlan:
 
     def test_exact_matches_atom_enumeration(self):
         """Independent oracle: enumerate all d-tuples of joint cells."""
-        import itertools
-
         model = bern55()
         d, tau = 3, 0.05
         cells = [(x, y) for x in range(2) for y in range(2)]
@@ -552,8 +553,6 @@ class TestNPOracle:
         assert _log_permanent_ratios(c) == pytest.approx(expected, rel=1e-12)
 
     def test_statistic_matches_direct_permanent(self):
-        import itertools
-
         model = bern55()
         rng = np.random.default_rng(17)
         pair = sample_alt_rng(model, 4, 2, rng)
@@ -569,7 +568,8 @@ class TestNPOracle:
 def permanent_test_matrices(rng, n, count):
     """``count`` n x n matrices cycling through three kinds: normal x 5
     entries, integer entries with ties, and normal x 800 with one row scaled
-    by 1e13, whose spread holds its far entries at ``_PERMANENT_MIN_EXP``."""
+    by 1e13, whose far entries weigh less than 2^-(2^40) of their row
+    maximum's weight."""
     out = np.empty((count, n, n))
     for i in range(count):
         kind = i % 3
@@ -583,6 +583,26 @@ def permanent_test_matrices(rng, n, count):
     return out
 
 
+def harness_llr_stack(seed):
+    """The ``(50, 2, 8, 8)`` LLR stack of the benchmark's oracle point at a
+    seed: Bernoulli(0.6, 0.3), n=8, d=10, 50 trials, from the harness's
+    substreams."""
+    model = make_bernoulli(0.6, 0.3)
+    llr = np.empty((50, 2, 8, 8))
+    samplers = ((rngmod.RISK_NULL, sample_null_rng), (rngmod.RISK_ALT, sample_alt_rng))
+    for trial in range(50):
+        for h, (purpose, sample) in enumerate(samplers):
+            pair = sample(model, 8, 10, rngmod.substream(seed, purpose, 0, trial))
+            llr[trial, h] = pair_llr_matrix(model, pair.x, pair.y)
+    return llr
+
+
+def avx512_dispatch_targets():
+    """numpy's AVX-512 dispatch targets that this CPU supports."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return [t for t in found if t == "X86_V4" or t.startswith("AVX512")]
+
+
 class TestStackedPermanents:
     """``_log_permanent_ratios`` on a stack returns, bit for bit, the value
     the per-pair subset DP gives each matrix alone."""
@@ -594,7 +614,7 @@ class TestStackedPermanents:
         c = permanent_test_matrices(rng, n, max(sizes))
         if n > 1:
             spread = (c - c.max(axis=2, keepdims=True)) / math.log(2.0)
-            assert spread.min() < _PERMANENT_MIN_EXP
+            assert spread.min() < -(2.0**40)
         expected = np.array([per_pair_log_permanent_ratio(m) for m in c])
         for size in sizes:  # each stack as one DP, whatever the sub-stack rule
             got = detectors._stack_log_permanent_ratios(c[:size])
@@ -603,28 +623,91 @@ class TestStackedPermanents:
         single = _log_permanent_ratios(c[0])
         assert isinstance(single, float) and single == expected[0]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_mpmath_enumeration(self, n):
+        """Within 1e-15 of a 60-digit log-sum-exp over all n! matchings,
+        relative to max(1, |value|), on all three kinds of matrix."""
+        mpmath = pytest.importorskip("mpmath")
+        c = permanent_test_matrices(np.random.default_rng(2000 + n), n, 9)
+        got = _log_permanent_ratios(c)
+        with mpmath.workdps(60):
+            for value, m in zip(got, c):
+                totals = [
+                    mpmath.fsum(mpmath.mpf(float(m[i, j])) for i, j in enumerate(p))
+                    for p in itertools.permutations(range(n))
+                ]
+                top = max(totals)
+                expected = (
+                    top
+                    + mpmath.log(mpmath.fsum(mpmath.exp(t - top) for t in totals))
+                    - mpmath.log(mpmath.factorial(n))
+                )
+                error = abs(mpmath.mpf(float(value)) - expected)
+                assert error <= 1e-15 * max(1, abs(expected)), (n, float(expected))
+
+    def test_without_avx512_dispatch(self, tmp_path):
+        """With numpy's AVX-512 loops turned off, a stack still equals each
+        matrix alone bit for bit, and agrees with the default dispatch to
+        1e-13 with the same signs.  Not bit for bit: numpy's AVX-512 exp and
+        log round some values differently from its other loops."""
+        targets = avx512_dispatch_targets()
+        if not targets:
+            pytest.skip("this CPU has no AVX-512 dispatch target")
+        rng = np.random.default_rng(11)
+        stacks = {str(n): permanent_test_matrices(rng, n, 30) for n in (3, 8, 12)}
+        stacks["harness"] = harness_llr_stack(0)
+        np.savez(tmp_path / "stacks.npz", **stacks)
+        script = """
+import sys
+import numpy as np
+from dbdetect.detectors import _log_permanent_ratios
+found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+assert not set(sys.argv[3:]) & set(found), found
+stacks = np.load(sys.argv[1])
+values = {}
+for key in stacks.files:
+    c = stacks[key]
+    values[key] = _log_permanent_ratios(c)
+    alone = [_log_permanent_ratios(m) for m in c.reshape(-1, *c.shape[-2:])]
+    assert np.array_equal(values[key].ravel(), alone), key
+np.savez(sys.argv[2], **values)
+"""
+        src = os.path.dirname(os.path.dirname(detectors.__file__))
+        env = {
+            **os.environ,
+            "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        }
+        paths = (tmp_path / "stacks.npz", tmp_path / "values.npz")
+        result = subprocess.run(
+            [sys.executable, "-c", script, *paths, *targets],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        values = np.load(paths[1])
+        for key, c in stacks.items():
+            default = _log_permanent_ratios(c)
+            np.testing.assert_allclose(values[key], default, rtol=1e-13, atol=1e-13)
+            np.testing.assert_array_equal(values[key] >= 0, default >= 0)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_harness_llr_stacks(self, seed):
-        """The LLR stacks of the benchmark's oracle point: Bernoulli(0.6,
-        0.3), n=8, d=10, 50 trials, from the harness's substreams."""
-        model = make_bernoulli(0.6, 0.3)
-        llr = np.empty((50, 2, 8, 8))
-        samplers = ((rngmod.RISK_NULL, sample_null_rng), (rngmod.RISK_ALT, sample_alt_rng))
-        for trial in range(50):
-            for h, (purpose, sample) in enumerate(samplers):
-                pair = sample(model, 8, 10, rngmod.substream(seed, purpose, 0, trial))
-                llr[trial, h] = pair_llr_matrix(model, pair.x, pair.y)
+        """The LLR stacks of the benchmark's oracle point (see
+        ``harness_llr_stack``)."""
+        llr = harness_llr_stack(seed)
         got = _log_permanent_ratios(llr)
         assert got.shape == (50, 2)
         expected = [[per_pair_log_permanent_ratio(m) for m in pairs] for pairs in llr]
         np.testing.assert_array_equal(got, np.array(expected))
 
     def test_sub_stack_rule(self):
-        """Up to n = 11 a sub-stack holds several matrices, and its traced
-        peak stays within the byte budget; from n = 12 on, n = 20 included,
+        """Up to n = 12 a sub-stack holds several matrices, and its traced
+        peak stays within the byte budget; from n = 13 on, n = 20 included,
         a matrix is a stack of one (checked without running its DP)."""
         rng = np.random.default_rng(7)
-        for n in range(1, 12):
+        for n in range(1, 13):
             step = detectors._permanent_stack_size(n)
             assert step > 1
             c = rng.normal(size=(step, n, n))
@@ -635,7 +718,7 @@ class TestStackedPermanents:
             finally:
                 tracemalloc.stop()
             assert peak <= detectors._PERMANENT_STACK_BYTES, n
-        for n in range(12, NP_ORACLE_MAX_N + 1):
+        for n in range(13, NP_ORACLE_MAX_N + 1):
             assert detectors._permanent_stack_size(n) == 1
 
     def test_sub_stacks_and_chunks_are_invisible(self, monkeypatch):
