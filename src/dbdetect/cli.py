@@ -60,6 +60,7 @@ def cmd_validate(args) -> int:
 
 def cmd_sample(args) -> int:
     model = cfg.load_model(args.model)
+    experiments.check_setting("seed", args.seed)
     if args.hypothesis == "null":
         pair = sample_null(model, args.n, args.d, args.seed)
     else:
@@ -175,11 +176,8 @@ def cmd_chernoff(args) -> int:
             np.linspace(-div.kl_qp + pad, div.kl_pq - pad, args.theta_points)
         )
     columns = ("theta", "e_q", "e_p", "argmax_lambda")
-    rows = []
-    for theta in thetas:
-        rq = chernoff_exponent(model, theta, side="Q")
-        rp = chernoff_exponent(model, theta, side="P")
-        rows.append((theta, rq.value, rp.value, rq.argmax_lambda))
+    results = (chernoff_exponent(model, theta) for theta in thetas)
+    rows = [(theta, r.e_q, r.e_p, r.argmax_lambda) for theta, r in zip(thetas, results)]
     _emit_table(columns, rows, args.format, args.out)
     return EXIT_OK
 
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--tau", type=float)
     p.add_argument("--tau-count")
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bounds)
 
@@ -308,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tv_oracle)
 

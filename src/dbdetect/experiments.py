@@ -23,7 +23,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import BrokenExecutor, Executor, Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,19 +126,20 @@ class TrialPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "detectors", tuple(self.detectors))
-        for name in (
-            "trials", "pd_samples", "detectors", "tau_glrt", "tau_sum", "tau_count"
-        ):
-            check_setting(name, getattr(self, name))
+        for field in fields(self):
+            check_setting(field.name, getattr(self, field.name))
 
 
 def check_setting(name: str, value) -> None:
     """Raise ``ValidationError`` for a run setting out of its range: trials
-    or pd_samples below 1, no detector or an unknown one, a NaN threshold.
-    :class:`TrialPlan` checks its fields here, and a plan file each key's
-    value, so that the error can name the key's line."""
+    or pd_samples below 1, a negative seed, no detector or an unknown one, a
+    NaN threshold; other names pass.  :class:`TrialPlan` checks its fields
+    here, and a plan file each key's value, so that the error can name the
+    key's line."""
     if name in ("trials", "pd_samples") and value < 1:
         raise ValidationError(f"{name} must be >= 1, got {value}")
+    if name == "seed" and value is not None and value < 0:
+        raise ValidationError(f"seed must be >= 0, got {value}")
     if name == "detectors":
         if not value:
             raise ValidationError("at least one detector is required")
@@ -204,7 +205,11 @@ def prepare(
     The ``detect`` subcommand and the risk harness both bind detectors here.
     The count test takes its plan from ``plans`` when its threshold is
     first settled.  Detectors whose LLR arrays would exceed
-    ``LLR_MAX_BYTES`` raise ``CapacityError``, by arithmetic alone."""
+    ``LLR_MAX_BYTES`` raise ``CapacityError``, by arithmetic alone, and n
+    or d below 1 raises ``ValidationError``."""
+    for name, value in (("n", n), ("d", d)):
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
     prepared = {
         name: DETECTORS[name](model, n, d, plan, plans)
         for name in dict.fromkeys(plan.detectors)
@@ -1087,24 +1092,18 @@ def bound_report(
     if div.skl > 0.0:
         report["sum_risk_bound"] = 4.0 * var_q / (d * div.skl**2)
         report["sum_threshold"] = d * n * div.skl
-        e_q = chernoff_exponent(model, tau_glrt, side="Q")
-        e_p = chernoff_exponent(model, tau_glrt, side="P")
+        glrt = chernoff_exponent(model, tau_glrt)
         required_e_q = math.log(n / math.e) / d + (1.0 + math.log(n)) / (d * n)
         report["glrt"] = {
             "tau": float(tau_glrt),
-            "e_q": e_q.value,
-            "e_p": e_p.value,
+            "e_q": glrt.e_q,
+            "e_p": glrt.e_p,
             "required_e_q": required_e_q,
-            "condition_met": bool(e_q.value >= required_e_q),
+            "condition_met": bool(glrt.e_q >= required_e_q),
         }
         tc = resolve_tau_count(model, tau_count)
-        e_qc = chernoff_exponent(model, tc, side="Q")
-        e_pc = chernoff_exponent(model, tc, side="P")
-        report["count"] = {
-            "tau_count": tc,
-            "e_q": e_qc.value,
-            "e_p": e_pc.value,
-        }
+        count = chernoff_exponent(model, tc)
+        report["count"] = {"tau_count": tc, "e_q": count.e_q, "e_p": count.e_p}
     else:
         report["sum_risk_bound"] = None
         report["sum_threshold"] = None
@@ -1114,7 +1113,6 @@ def bound_report(
 
     if isinstance(model, GaussianModel):
         rho = model.rho
-        e_q0 = chernoff_exponent(model, 0.0, side="Q")
-        report["e_q_zero"] = e_q0.value
+        report["e_q_zero"] = chernoff_exponent(model, 0.0).e_q
         report["e_q_zero_witness"] = -0.25 * math.log(1.0 - rho * rho)
     return report

@@ -4,9 +4,9 @@ and the centered kernel used by the sum test.
 ``psi_q`` and ``psi_p`` are the cumulant generating functions of the
 single-letter log-likelihood ratio under the independence law and the joint
 law; they satisfy psi_q(0) = psi_q(1) = 0 and psi_p(lam) = psi_q(lam + 1).
-The exponents E_Q, E_P are their Legendre transforms, computed by one
-golden-section search on [0, 1] (the objective lam * theta - psi(lam) is
-concave) and shared by the two sides through E_P(theta) = E_Q(theta) - theta.
+The exponents E_Q, E_P are their Legendre transforms, both read off one
+golden-section search on [0, 1] (the objective lam * theta - psi_q(lam) is
+concave) through E_P(theta) = E_Q(theta) - theta.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class Divergences(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class ExponentResult:
     theta: float
-    value: float
+    e_q: float
+    e_p: float
     argmax_lambda: float
     iterations: int
 
@@ -165,19 +166,18 @@ def _golden_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL):
     return x, f(x), iterations
 
 
-def chernoff_exponent(model: JointModel, theta: float, side: str = "Q") -> ExponentResult:
-    """Legendre transform sup_lam (lam * theta - psi(lam)) of the chosen
-    log-MGF, for theta in the closed interval [-KL(Q||P), KL(P||Q)].
+def chernoff_exponent(model: JointModel, theta: float) -> ExponentResult:
+    """The Legendre transforms E_Q(theta) = sup_lam (lam * theta - psi_q(lam))
+    and E_P(theta) = sup_lam (lam * theta - psi_p(lam)), for theta in the
+    closed interval [-KL(Q||P), KL(P||Q)], from one search.
 
     psi_q is convex with slope -KL(Q||P) at 0 and KL(P||Q) at 1, so for such
-    theta the concave side-Q objective peaks in [0, 1], which lies inside the
+    theta the concave objective of E_Q peaks in [0, 1], which lies within the
     Gaussian integrability walls; one golden-section search there finds it.
-    Side P follows from psi_p(lam) = psi_q(lam + 1): E_P(theta) = E_Q(theta)
-    - theta, attained one below the side-Q maximiser.
+    E_P follows from psi_p(lam) = psi_q(lam + 1): E_P(theta) = E_Q(theta)
+    - theta, attained at ``argmax_lambda - 1``.
     """
     theta = float(theta)
-    if side not in ("Q", "P"):
-        raise ValidationError(f"side must be 'Q' or 'P', got {side!r}")
     div = kl_divergences(model)
     lo_theta, hi_theta = -div.kl_qp, div.kl_pq
     if not lo_theta - 1e-12 <= theta <= hi_theta + 1e-12:
@@ -187,10 +187,9 @@ def chernoff_exponent(model: JointModel, theta: float, side: str = "Q") -> Expon
     theta = min(max(theta, lo_theta), hi_theta)
     objective = lambda lam: lam * theta - psi_q(model, lam)
     x, fx, iterations = _golden_max(objective, 0.0, 1.0)
-    if side == "P":
-        x, fx = x - 1.0, fx - theta
     return ExponentResult(
-        theta=theta, value=max(0.0, fx), argmax_lambda=x, iterations=iterations
+        theta=theta, e_q=max(0.0, fx), e_p=max(0.0, fx - theta), argmax_lambda=x,
+        iterations=iterations,
     )
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Purpose tags.  These values are part of the reproducibility contract:
 # changing them changes every sampled bit.
 SAMPLE_NULL = 1
@@ -46,7 +48,7 @@ def _words(value) -> list[int]:
     SeedSequence splits it (0 is one word)."""
     value = int(value)
     if value < 0:
-        raise ValueError("expected non-negative integer")
+        raise ValidationError("expected non-negative integer")
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -121,7 +123,7 @@ def stream_keys(seed: int, prefix: tuple[int, ...], last) -> np.ndarray:
     pool, start = _head_pool(head)
     last = np.asarray(last)
     if last.dtype.kind not in "iu" or (last.size and last.min() < 0):
-        raise ValueError("stream indices must be integers in [0, 2^64)")
+        raise ValidationError("stream indices must be integers in [0, 2^64)")
     last = last.astype(np.uint64)
     pool, after = _absorb(
         np.tile(np.array(pool, dtype=np.uint32), (last.size, 1)),

@@ -24,6 +24,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from dbdetect import rng as rngmod
+from dbdetect.cli import main as cli_main
 from dbdetect.detectors import _PERMANENT_CHUNK
 from dbdetect.errors import CapacityError
 from dbdetect.exponents import llr_atoms
@@ -621,3 +622,54 @@ def load_perfbench_worker():
         sys.path.remove(str(PERFBENCH))
         del sys.modules[spec.name]
     return module
+
+
+CRITERION_9_MODEL = "kind = gaussian\nrho = 0.7\n"
+CRITERION_9_PLAN = (
+    "[model]\nkind = gaussian\nrho = 0.7\n\n"
+    "[run]\nn = 8\nd = 4\ntrials = 60\nseed = 5\n"
+    "detectors = sum count glrt\ntau_count = half-kl\npd_samples = 4000\n\n"
+    "[sweep]\nrho = 0.4 0.7\nd = 2 4\n"
+)
+# big enough (n * d = 10^4) that its trials run on a pool of workers
+CRITERION_9_POOLED_PLAN = (
+    "[model]\nkind = gaussian\nrho = 0.3\n\n"
+    "[run]\nn = 100\nd = 100\ntrials = 20\nseed = 5\n"
+    "detectors = sum count\ntau_count = half-kl\npd_samples = 2000\n"
+)
+
+
+def criterion_9_outputs(directory: pathlib.Path, threads: int) -> dict:
+    """The output bytes of acceptance criterion 9's commands, run with
+    ``--threads threads`` in ``directory``: a sampled pair, a count verdict
+    on it, and the risk and sweep CSVs of its plans, by file name."""
+    directory.mkdir(parents=True, exist_ok=True)
+    model = directory / "model.txt"
+    plan = directory / "plan.txt"
+    pooled = directory / "pooled.txt"
+    model.write_text(CRITERION_9_MODEL)
+    plan.write_text(CRITERION_9_PLAN)
+    pooled.write_text(CRITERION_9_POOLED_PLAN)
+    sample = directory / "s"
+    commands = [
+        ["sample", "--model", model, "--n", 5, "--d", 3, "--seed", 9,
+         "--hypothesis", "alt", "--out", sample],
+        ["detect", "--model", model, "--x", f"{sample}_X.csv", "--y",
+         f"{sample}_Y.csv", "--detector", "count", "--tau-count", 0.1,
+         "--pd-samples", 5000, "--seed", 3, "--out", directory / "detect.json"],
+        ["risk", "--plan", plan, "--threads", threads, "--out", directory / "risk.csv"],
+        ["sweep", "--plan", plan, "--threads", threads, "--out",
+         directory / "sweep.csv"],
+        ["risk", "--plan", pooled, "--threads", threads, "--out",
+         directory / "pooled.csv"],
+    ]
+    for args in commands:
+        assert cli_main([str(a) for a in args]) == 0, args
+    names = ("s_X.csv", "s_Y.csv", "detect.json", "risk.csv", "sweep.csv", "pooled.csv")
+    return {name: (directory / name).read_bytes() for name in names}
+
+
+def avx512_dispatch_targets() -> list:
+    """numpy's AVX-512 dispatch targets that this CPU supports."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return [t for t in found if t == "X86_V4" or t.startswith("AVX512")]

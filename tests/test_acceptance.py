@@ -24,7 +24,6 @@ import pytest
 
 from dbdetect import rng as rngmod
 from dbdetect.assignment import solve_max
-from dbdetect.cli import main as cli_main
 from dbdetect.exponents import (
     chernoff_exponent,
     kl_divergences,
@@ -50,6 +49,7 @@ from dbdetect.spectral import (
 from helpers import (
     bern55,
     brute_force_second_moment,
+    criterion_9_outputs,
     diag_model,
     gauss,
     gauss_expect_2d,
@@ -124,11 +124,10 @@ def test_criterion_3_exponent_identities():
             assert abs(psi_p(model, lam) - psi_q(model, lam + 1.0)) <= 1e-9
         div = kl_divergences(model)
         for theta in np.linspace(-div.kl_qp, div.kl_pq, 7):
-            e_q = chernoff_exponent(model, theta, "Q").value
-            e_p = chernoff_exponent(model, theta, "P").value
-            assert abs(e_p - (e_q - theta)) <= 1e-6
-        assert abs(chernoff_exponent(model, -div.kl_qp, "Q").value) <= 1e-6
-        assert abs(chernoff_exponent(model, div.kl_pq, "P").value) <= 1e-6
+            result = chernoff_exponent(model, theta)
+            assert abs(result.e_p - (result.e_q - theta)) <= 1e-6
+        assert abs(chernoff_exponent(model, -div.kl_qp).e_q) <= 1e-6
+        assert abs(chernoff_exponent(model, div.kl_pq).e_p) <= 1e-6
     worst_quad = 0.0
     for rho in (-0.7, -0.3, 0.2, 0.5, 0.8):
         model = GaussianModel(rho=rho)
@@ -416,124 +415,11 @@ def test_criterion_8_bayes_optimality_sanity():
 
 def test_criterion_9_determinism_across_runs_and_threads(tmp_path):
     """Byte-identical outputs for every stochastic subcommand across repeated
-    runs and across thread counts 1 and 8."""
-    model_path = tmp_path / "model.txt"
-    model_path.write_text("kind = gaussian\nrho = 0.7\n")
-    plan_path = tmp_path / "plan.txt"
-    plan_path.write_text(
-        "[model]\nkind = gaussian\nrho = 0.7\n\n"
-        "[run]\nn = 8\nd = 4\ntrials = 60\nseed = 5\n"
-        "detectors = sum count glrt\ntau_count = half-kl\npd_samples = 4000\n\n"
-        "[sweep]\nrho = 0.4 0.7\nd = 2 4\n"
-    )
-    # big enough (n * d = 10^4) that its trials run on a pool of workers
-    pooled_path = tmp_path / "pooled.txt"
-    pooled_path.write_text(
-        "[model]\nkind = gaussian\nrho = 0.3\n\n"
-        "[run]\nn = 100\nd = 100\ntrials = 20\nseed = 5\n"
-        "detectors = sum count\ntau_count = half-kl\npd_samples = 2000\n"
-    )
-    outputs = {}
-    for label, threads in [("a", 1), ("b", 1), ("c", 8)]:
-        sample_prefix = tmp_path / f"s_{label}"
-        assert (
-            cli_main(
-                [
-                    "sample",
-                    "--model",
-                    str(model_path),
-                    "--n",
-                    "5",
-                    "--d",
-                    "3",
-                    "--seed",
-                    "9",
-                    "--hypothesis",
-                    "alt",
-                    "--out",
-                    str(sample_prefix),
-                ]
-            )
-            == 0
-        )
-        detect_out = tmp_path / f"detect_{label}.json"
-        assert (
-            cli_main(
-                [
-                    "detect",
-                    "--model",
-                    str(model_path),
-                    "--x",
-                    str(sample_prefix) + "_X.csv",
-                    "--y",
-                    str(sample_prefix) + "_Y.csv",
-                    "--detector",
-                    "count",
-                    "--tau-count",
-                    "0.1",
-                    "--pd-samples",
-                    "5000",
-                    "--seed",
-                    "3",
-                    "--out",
-                    str(detect_out),
-                ]
-            )
-            == 0
-        )
-        risk_out = tmp_path / f"risk_{label}.csv"
-        assert (
-            cli_main(
-                [
-                    "risk",
-                    "--plan",
-                    str(plan_path),
-                    "--threads",
-                    str(threads),
-                    "--out",
-                    str(risk_out),
-                ]
-            )
-            == 0
-        )
-        sweep_out = tmp_path / f"sweep_{label}.csv"
-        assert (
-            cli_main(
-                [
-                    "sweep",
-                    "--plan",
-                    str(plan_path),
-                    "--threads",
-                    str(threads),
-                    "--out",
-                    str(sweep_out),
-                ]
-            )
-            == 0
-        )
-        pooled_out = tmp_path / f"pooled_{label}.csv"
-        assert (
-            cli_main(
-                [
-                    "risk",
-                    "--plan",
-                    str(pooled_path),
-                    "--threads",
-                    str(threads),
-                    "--out",
-                    str(pooled_out),
-                ]
-            )
-            == 0
-        )
-        outputs[label] = (
-            (sample_prefix.parent / (sample_prefix.name + "_X.csv")).read_bytes(),
-            (sample_prefix.parent / (sample_prefix.name + "_Y.csv")).read_bytes(),
-            detect_out.read_bytes(),
-            risk_out.read_bytes(),
-            sweep_out.read_bytes(),
-            pooled_out.read_bytes(),
-        )
+    runs and across thread counts 1 and 8 (see ``criterion_9_outputs``)."""
+    outputs = {
+        label: criterion_9_outputs(tmp_path / label, threads)
+        for label, threads in [("a", 1), ("b", 1), ("c", 8)]
+    }
     ok = outputs["a"] == outputs["b"] == outputs["c"]
     report(
         9, ok, "sample/detect/risk/sweep byte-identical across runs and threads {1, 8}"

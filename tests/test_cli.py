@@ -247,6 +247,7 @@ class TestCLI:
             ("sweep", ["--plan", "--detector", "--tau-count", "--pd-samples"]),
             ("detect", ["--model", "--x", "--y", "--tau-count", "--pd-samples"]),
             ("bounds", ["--model", "--n", "--d", "--tau"]),
+            ("tv-oracle", ["--model", "--n", "--d", "--out"]),
         ]:
             with pytest.raises(SystemExit) as exit_info:
                 run_cli(command, "--help")
@@ -255,6 +256,8 @@ class TestCLI:
             for flag in flags:
                 assert flag in text
             assert "--pd-method" not in text  # the pd method follows the model
+            # bounds and tv-oracle write JSON only, so they take no --format
+            assert ("--format" in text) == (command not in ("bounds", "tv-oracle"))
 
     def test_detector_choices_are_the_detector_table(self):
         subcommands = next(
@@ -623,6 +626,7 @@ class TestExitCodes:
              "('glrt', 'sum', 'count', 'np-oracle')"),
             ("seed = 11", "seed = 11\ntau_glrt = nan",
              "tau_glrt must be a number, got nan"),
+            ("seed = 11", "seed = -1", "seed must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_plan_value_names_its_line(
@@ -692,7 +696,8 @@ class TestExitCodes:
         "case",
         ["missing-model", "missing-plan", "missing-x", "unwritable-out",
          "bad-cell", "bad-thetas", "bad-theta-points", "zero-threads",
-         "bounds-n-zero", "bounds-n-negative", "pd-samples-plan",
+         "bounds-n-zero", "bounds-n-negative", "risk-n-zero", "seed-sample",
+         "seed-detect", "seed-plan", "pd-samples-plan",
          "pd-samples-risk", "pd-samples-detect", *BAD_OBSERVATIONS],
     )
     def test_bad_input_is_one_error_line(self, model_file, tmp_path, capsys, case):
@@ -714,6 +719,9 @@ class TestExitCodes:
         write_matrix_csv(str(tmp_path / "Y.csv"), pair.y)
         bad_x = tmp_path / "bad.csv"
         bad_x.write_text("n,d\n1,2\n\n0.5,abc\n")
+        seed_line = PLAN_TEXT.splitlines().index("seed = 11") + 1
+        negative_seed_plan = tmp_path / "negative-seed.txt"
+        negative_seed_plan.write_text(PLAN_TEXT.replace("seed = 11", "seed = -1"))
         zero_samples_plan = tmp_path / "zero-samples.txt"
         zero_samples_plan.write_text(
             PLAN_TEXT.replace("pd_samples = 4000", "pd_samples = 0")
@@ -740,6 +748,15 @@ class TestExitCodes:
                               "n and d must be >= 1"),
             "bounds-n-negative": (["bounds", "--model", model_path, "--n", -3,
                                    "--d", 2], "n and d must be >= 1"),
+            "risk-n-zero": (["risk", "--plan", plan_path, "--n", 0],
+                            "n must be >= 1, got 0"),
+            "seed-sample": (["sample", "--model", model_path, "--n", 4, "--d", 2,
+                             "--seed", -1, "--out", tmp_path / "s"],
+                            "seed must be >= 0, got -1"),
+            "seed-detect": ([*detect, "--x", tmp_path / "X.csv", "--seed", -3],
+                            "seed must be >= 0, got -3"),
+            "seed-plan": (["risk", "--plan", negative_seed_plan],
+                          f"{negative_seed_plan}:{seed_line}: seed must be >= 0, got -1"),
             "pd-samples-plan": (["risk", "--plan", zero_samples_plan],
                                 "pd_samples must be >= 1"),
             "pd-samples-risk": (["risk", "--plan", plan_path, "--detector", "sum",

@@ -52,6 +52,7 @@ from dbdetect.models import (
 
 from helpers import (
     BAD_OBSERVATIONS,
+    avx512_dispatch_targets,
     bad_observation,
     bern55,
     brute_force_max_assignment,
@@ -595,12 +596,6 @@ def harness_llr_stack(seed):
             pair = sample(model, 8, 10, rngmod.substream(seed, purpose, 0, trial))
             llr[trial, h] = pair_llr_matrix(model, pair.x, pair.y)
     return llr
-
-
-def avx512_dispatch_targets():
-    """numpy's AVX-512 dispatch targets that this CPU supports."""
-    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    return [t for t in found if t == "X86_V4" or t.startswith("AVX512")]
 
 
 class TestStackedPermanents:

@@ -225,8 +225,10 @@ VACUOUS = (
 
 
 class TestDeferredCountDecisions:
-    """The count plan runs as a unit of the trial pool and the count
-    decisions wait for it; none of that shows in the outputs."""
+    """A point settles its count threshold (the pd plan, whose Monte-Carlo
+    pass a pooled run queues on the process pool ahead of the trial blocks)
+    before any trial's error can surface, and takes its count decisions once
+    all its blocks are in; none of that shows in the outputs."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -856,6 +858,19 @@ class TestSweep:
         rows = sweep(plan)
         assert [r.param for r in rows] == [0.3, 0.8]
         assert all(r.model_kind == "bernoulli" for r in rows)
+
+    def test_n_zero_is_a_point_error(self):
+        """n = 0 fails at its own point, before any draw, and n = 4 runs."""
+        plan = small_plan(
+            trials=6, detectors=("sum", "count", "glrt"), tau_count="half-kl",
+            pd_samples=500, sweep=SweepGrid(n_values=(0, 4)),
+        )
+        errors = []
+        rows = sweep(plan, error_sink=errors)
+        assert [(e.n, e.message) for e in errors] == [(0, "n must be >= 1, got 0")]
+        assert [(r.n, r.detector) for r in rows] == [
+            (4, "sum"), (4, "count"), (4, "glrt")
+        ]
 
     def test_discrete_param_sweep_rejected(self):
         plan = small_plan(

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbdetect import exponents
+from dbdetect.cli import main as cli_main
 from dbdetect.errors import DomainError
+from dbdetect.experiments import bound_report
 from dbdetect.exponents import (
     centered_kernel,
     chernoff_exponent,
@@ -17,7 +20,7 @@ from dbdetect.exponents import (
     psi_q,
     var_q_centered_kernel,
 )
-from dbdetect.models import GaussianModel
+from dbdetect.models import GaussianModel, make_bernoulli
 
 from helpers import (
     bern55,
@@ -152,27 +155,27 @@ class TestChernoffExponents:
         for model in ALL_MODELS():
             div = kl_divergences(model)
             eps = 1e-9
-            assert chernoff_exponent(model, -div.kl_qp + eps, "Q").value == pytest.approx(
+            assert chernoff_exponent(model, -div.kl_qp + eps).e_q == pytest.approx(
                 0.0, abs=1e-6
             )
-            assert chernoff_exponent(model, div.kl_pq - eps, "P").value == pytest.approx(
+            assert chernoff_exponent(model, div.kl_pq - eps).e_p == pytest.approx(
                 0.0, abs=1e-6
             )
 
     def test_exact_endpoints_allowed(self):
         for model in ALL_MODELS():
             div = kl_divergences(model)
-            assert chernoff_exponent(model, -div.kl_qp, "Q").value == pytest.approx(
+            assert chernoff_exponent(model, -div.kl_qp).e_q == pytest.approx(
                 0.0, abs=1e-9
             )
-            assert chernoff_exponent(model, div.kl_pq, "P").value == pytest.approx(
+            assert chernoff_exponent(model, div.kl_pq).e_p == pytest.approx(
                 0.0, abs=1e-9
             )
 
     def test_eq_at_kl_pq(self):
         for model in ALL_MODELS():
             div = kl_divergences(model)
-            assert chernoff_exponent(model, div.kl_pq, "Q").value == pytest.approx(
+            assert chernoff_exponent(model, div.kl_pq).e_q == pytest.approx(
                 div.kl_pq, abs=1e-6
             )
 
@@ -180,49 +183,76 @@ class TestChernoffExponents:
         for model in ALL_MODELS():
             div = kl_divergences(model)
             for theta in np.linspace(-div.kl_qp, div.kl_pq, 9):
-                eq = chernoff_exponent(model, theta, "Q").value
-                ep = chernoff_exponent(model, theta, "P").value
-                assert ep == pytest.approx(eq - theta, abs=1e-6)
+                result = chernoff_exponent(model, theta)
+                assert result.e_p == pytest.approx(result.e_q - theta, abs=1e-6)
 
     def test_gaussian_zero_witness(self):
         rho = 0.6
         witness = -0.25 * math.log(1 - rho * rho) + 0.5 * math.log(1 - rho * rho / 4)
-        result = chernoff_exponent(gauss(rho), 0.0, "Q")
-        assert result.value >= witness - 1e-12
-        assert result.value == pytest.approx(0.06508, abs=5e-5)
+        result = chernoff_exponent(gauss(rho), 0.0)
+        assert result.e_q >= witness - 1e-12
+        assert result.e_q == pytest.approx(0.06508, abs=5e-5)
 
     def test_convexity_midpoints(self):
         for model in ALL_MODELS():
             div = kl_divergences(model)
             thetas = np.linspace(-div.kl_qp, div.kl_pq, 7)
-            values = [chernoff_exponent(model, t, "Q").value for t in thetas]
+            values = [chernoff_exponent(model, t).e_q for t in thetas]
             for i in range(1, len(thetas) - 1):
                 mid = 0.5 * (values[i - 1] + values[i + 1])
                 assert values[i] <= mid + 1e-9
 
     def test_nonnegative_and_metadata(self):
-        result = chernoff_exponent(diag_model(), 0.05, "Q")
-        assert result.value >= 0.0
+        result = chernoff_exponent(diag_model(), 0.05)
+        assert result.e_q >= 0.0
+        assert result.e_p >= 0.0
         assert result.iterations > 0
         assert result.theta == 0.05
 
     def test_theta_outside_interval(self):
         div = kl_divergences(diag_model())
         with pytest.raises(DomainError):
-            chernoff_exponent(diag_model(), div.kl_pq + 0.1, "Q")
+            chernoff_exponent(diag_model(), div.kl_pq + 0.1)
         with pytest.raises(DomainError):
-            chernoff_exponent(diag_model(), -div.kl_qp - 0.1, "P")
+            chernoff_exponent(diag_model(), -div.kl_qp - 0.1)
 
-    def test_side_p_is_side_q_shifted_exactly(self):
-        """Inside the interval E_P = E_Q - theta and the side-P maximiser is
-        the side-Q one minus 1, bit for bit: both sides share one search."""
+    def test_e_p_is_e_q_shifted_exactly(self):
+        """Inside the interval E_P = E_Q - theta bit for bit, and the
+        maximiser of E_Q's objective lies in [0, 1]: E_P's (one below it)
+        in [-1, 0]."""
         for model in ALL_MODELS() + [gauss(0.999999)]:
             div = kl_divergences(model)
             for theta in np.linspace(-div.kl_qp, div.kl_pq, 9)[1:-1]:
-                eq = chernoff_exponent(model, theta, "Q")
-                ep = chernoff_exponent(model, theta, "P")
-                assert ep.value == eq.value - theta
-                assert ep.argmax_lambda == eq.argmax_lambda - 1.0
+                result = chernoff_exponent(model, theta)
+                assert result.e_p == result.e_q - theta
+                assert 0.0 <= result.argmax_lambda <= 1.0
+
+    def test_one_search_per_level(self, monkeypatch, tmp_path, capsys):
+        """A level costs one golden-section search, for both exponents: one
+        per call, three per Gaussian bound report (scan level, count level,
+        theta = 0), two per Bernoulli one, and one per theta in
+        ``dbdetect chernoff``."""
+        calls = []
+        search = exponents._golden_max
+        monkeypatch.setattr(
+            exponents, "_golden_max", lambda *a, **k: calls.append(1) or search(*a, **k)
+        )
+
+        def searches(run):
+            calls.clear()
+            run()
+            return len(calls)
+
+        for model in ALL_MODELS():
+            assert searches(lambda: chernoff_exponent(model, 0.0)) == 1
+        assert searches(lambda: bound_report(gauss(0.5), 10, 5)) == 3
+        assert searches(lambda: bound_report(make_bernoulli(0.6, 0.3), 10, 5)) == 2
+        path = tmp_path / "model.txt"
+        path.write_text("kind = gaussian\nrho = 0.5\n")
+        run = ["chernoff", "--model", str(path), "--theta-points", "5"]
+        assert searches(lambda: cli_main(run)) == 5
+        assert searches(lambda: cli_main([*run[:3], "--thetas", "0,0.01"])) == 2
+        capsys.readouterr()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -241,8 +271,9 @@ class TestChernoffExponents:
         [-2, 3], at both ends of the theta interval and inside it."""
         div = kl_divergences(model)
         for theta in (-div.kl_qp, -0.5 * div.kl_qp, 0.0, 0.5 * div.kl_pq, div.kl_pq):
-            for side in ("Q", "P"):
-                assert chernoff_exponent(model, theta, side).value == pytest.approx(
+            result = chernoff_exponent(model, theta)
+            for side, value in (("Q", result.e_q), ("P", result.e_p)):
+                assert value == pytest.approx(
                     bounded_legendre_transform(model, theta, side), rel=1e-9, abs=1e-9
                 )
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbdetect import rng as rngmod
+from dbdetect.errors import ValidationError
 
 from helpers import scalar_fisher_yates
 
@@ -112,7 +113,8 @@ def test_rekey_after_partial_use_is_a_fresh_substream(seed, purpose, trial, use)
 
 
 def test_stream_keys_reject_negative_indices():
-    with pytest.raises(ValueError):
+    """A ``ValidationError``, which the command line reports in one line."""
+    with pytest.raises(ValidationError):
         rngmod.stream_keys(0, (rngmod.RISK_NULL, 0), np.array([3, -1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         rngmod.substream(-1, rngmod.RISK_NULL)
