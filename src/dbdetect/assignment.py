@@ -23,6 +23,10 @@ each value sums that matrix's own entries in the same order, bit for bit.
 A sweep costs about as much interpreter time for one problem as for many,
 so a stack of 16 solves up to 2.4x faster than a loop over its matrices,
 and a single matrix 2-4x slower (README, "Assignment solver").
+
+``greedy_max`` gives each matrix of a stack a row-order greedy assignment in
+n whole-stack steps: a lower bound on the maximum, with which the scan
+test's risk harness decides most trials without solving them.
 """
 
 from __future__ import annotations
@@ -37,13 +41,16 @@ def backend() -> str:
     return "numpy"
 
 
-def solve_max(weights: np.ndarray):
+def solve_max(weights: np.ndarray, only=None):
     """Maximum-weight perfect assignment of each square matrix of
     ``weights``, of shape ``(n, n)`` or ``(..., n, n)``.
 
     Returns ``(row_to_col, value)``: for one matrix an ``(n,)`` map and the
     float summed weight of the optimal assignment, for a stack an
-    ``(..., n)`` array of maps and an ``(...)`` array of values.
+    ``(..., n)`` array of maps and an ``(...)`` array of values.  With
+    ``only``, positions in the stack's flattened lead shape, just those
+    matrices are solved, read where they lie (no copy is made), and their
+    ``(len(only), n)`` maps and ``(len(only),)`` values returned.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim < 2 or w.shape[-1] != w.shape[-2] or w.shape[-1] < 1:
@@ -54,28 +61,66 @@ def solve_max(weights: np.ndarray):
     if w.size and not (np.isfinite(w.min()) and np.isfinite(w.max())):
         raise ValidationError("weights must be finite")
     n = w.shape[-1]
-    stack = w.reshape(-1, n, n)
-    sigma = _lockstep_sap(stack)
-    values = np.take_along_axis(stack, sigma[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    rows = w.reshape(-1, n)  # row i of matrix p is rows[p * n + i]
+    if only is None:
+        ids = np.arange(len(rows) // n)
+    else:
+        ids = np.asarray(only, dtype=np.int64)
+    sigma = _lockstep_sap(rows, ids)
+    values = rows[ids[:, None] * n + np.arange(n), sigma].sum(axis=1)
+    if only is not None:
+        return sigma, values
     if w.ndim == 2:
         return sigma[0], float(values[0])
     return sigma.reshape(w.shape[:-1]), values.reshape(w.shape[:-2])
 
 
-def _lockstep_sap(w: np.ndarray) -> np.ndarray:
+def greedy_max(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row-order greedy assignment of each matrix of a ``(problems, n,
+    n)`` stack of finite weights: ``(values, reach)``, two ``(problems,)``
+    arrays.
+
+    Row i takes the largest weight among the columns that rows ``0..i-1``
+    left free (the first such column on a tie), and ``values`` sums the
+    taken weights in row order.  A feasible assignment's weight is a lower
+    bound on the maximum (Burkard, Dell'Amico & Martello, *Assignment
+    Problems*, SIAM 2009, ch. 4), so a value certifies ``maximum >= level``
+    whenever it reaches the level with room for rounding.  ``reach`` is
+    ``sum_i max_j |w_ij|``, which bounds the absolute weights of any
+    assignment and so the rounding of any sum of them.  Each matrix's
+    figures are computed from its own entries in the same order whatever
+    the stack holds, and the only temporaries are ``(problems, n)`` rows."""
+    problems, n = stack.shape[0], stack.shape[-1]
+    at = np.arange(problems)
+    values = np.zeros(problems)
+    reach = np.zeros(problems)
+    taken = np.zeros((problems, n))  # inf on the columns of earlier rows
+    row = np.empty((problems, n))
+    for i in range(n):
+        np.subtract(stack[:, i], taken, out=row)
+        best = row.argmax(axis=1)
+        values += row[at, best]
+        taken[at, best] = np.inf
+        np.abs(stack[:, i], out=row)
+        reach += row.max(axis=1)
+    return values, reach
+
+
+def _lockstep_sap(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Row-to-column maps, ``(problems, n)``, of the minimum-cost assignments
-    of the costs ``-w`` for a ``(problems, n, n)`` stack ``w``.
+    of the costs ``-w`` for the matrices w at positions ``ids`` of a stack
+    given by its ``(matrices * n, n)`` rows.
 
     The working set holds the unfinished problems only: ``ids`` are their
-    positions in ``w``, every state array has one row per problem, and the
-    ``(problem, index)`` entries the sweep touches are addressed by flat
-    offsets into those rows.  Column ``n`` is the virtual start column of a
-    row's search, and row ``n`` of ``col_to_row`` marks an unmatched
-    column."""
-    problems, n = w.shape[0], w.shape[1]
+    positions in the stack and ``slot`` their rows of the result, every
+    state array has one row per problem, and the ``(problem, index)``
+    entries the sweep touches are addressed by flat offsets into those
+    rows.  Column ``n`` is the virtual start column of a row's search, and
+    row ``n`` of ``col_to_row`` marks an unmatched column."""
+    problems, n = len(ids), rows.shape[1]
     inf = np.inf
     sigma = np.empty((problems, n), dtype=np.int64)
-    ids = np.arange(problems)
+    slot = np.arange(problems)
     row = np.zeros(problems, dtype=np.int64)  # the row being augmented
     i0 = np.zeros(problems, dtype=np.int64)  # the row the next step scans
     j0 = np.full(problems, n, dtype=np.int64)  # the column it was reached from
@@ -94,7 +139,6 @@ def _lockstep_sap(w: np.ndarray) -> np.ndarray:
     better = np.empty((problems, n), dtype=bool)
     at = np.arange(problems)
     base, base1 = at * n, at * (n + 1)
-    rows = w.reshape(-1, n)  # row i of problem p is rows[p * n + i]
     first = ids * n
 
     while ids.size:
@@ -141,9 +185,10 @@ def _lockstep_sap(w: np.ndarray) -> np.ndarray:
         j0[ended] = n
         done = ended[nxt == n]
         if done.size:
-            sigma[ids[done, None], col_to_row[done, :n]] = np.arange(n)
+            sigma[slot[done, None], col_to_row[done, :n]] = np.arange(n)
             keep = row < n
-            ids, row, i0, j0 = ids[keep], row[keep], i0[keep], j0[keep]
+            ids, slot, row = ids[keep], slot[keep], row[keep]
+            i0, j0 = i0[keep], j0[keep]
             u, v, col_to_row, way = u[keep], v[keep], col_to_row[keep], way[keep]
             minv, used, blocked = minv[keep], used[keep], blocked[keep]
             used_rows = used_rows[keep]

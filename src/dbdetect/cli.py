@@ -101,7 +101,7 @@ def cmd_detect(args) -> int:
     cache = PairCache(model, pair.x, pair.y)
     verdicts = [
         detector.verdict(pair, cache)
-        for detector in experiments.prepare(model, pair.n, pair.d, plan, plans)
+        for detector in experiments.prepare(model, pair.n, pair.d, plan, plans, pairs=1)
     ]
     if args.format == "csv":
         columns = ("detector", "decision", "statistic", "threshold")

@@ -6,11 +6,13 @@ estimates the average risk; every detector in this package is invariant to
 row reordering, which makes average and worst-case Type-II errors coincide.
 Each trial draws its pairs from substreams keyed by (seed, hypothesis,
 point, trial), and trials run in contiguous blocks: a block draws its pairs
-and computes their LLR matrices in sub-blocks of stacked arrays, and solves
-its scan-test assignments and oracle permanents each as one stack, every
-one exactly as if alone; so results are bit-identical across block and
-sub-block sizes, worker counts and runs.  Large points run their blocks in a
-pool of worker processes, small ones in process.
+and computes their LLR matrices in sub-blocks of stacked arrays.  It then
+evaluates its stacked detectors each on one stack: the oracle's permanents,
+and the scan test's decisions, certified by a greedy assignment where it
+clears the cut and solved in one call where it does not.  Every pair's
+figures are computed from that pair alone, so results are bit-identical
+across block and sub-block sizes, worker counts and runs.  Large points run
+their blocks in a pool of worker processes, small ones in process.
 """
 
 from __future__ import annotations
@@ -195,18 +197,43 @@ def count_plans(plan: TrialPlan, models: Sequence[JointModel]) -> CountPlans:
 # stacked ones (one trial's two matrices).  The sum test reads no matrix.
 # 1 GiB admits count up to n = 11,585 and glrt up to n = 6,688
 LLR_MAX_BYTES = 1 << 30
+# the scan test's time guard, checked after the byte guard: a risk point or
+# detect call is refused when its assignments, each priced at SCAN_ROW_S n +
+# SCAN_ENTRY_S n^2 seconds as if solved alone and never certified, would
+# take more than SCAN_MAX_SECONDS.  The price lies above the slower of a
+# null and a dependent single matrix (Gaussian rho = 0.5, d = 10, and
+# Bernoulli(0.6, 0.3), d = 100), best of 3 (one run from n = 800), 2-vCPU
+# Xeon, numpy 2.4.6, except 4 % below at n = 800:
+#   n                 100    200    400    800    1600
+#   measured (s)      0.039  0.074  0.235  0.92   2.47
+#   priced (s)        0.040  0.100  0.280  0.88   3.04
+# A stack solves faster than its matrices one by one and certified trials
+# skip the solver, so a point runs within its price.  An hour admits the
+# CLI's default 2,000 trials up to n = 810, 200 trials up to n = 2,853, 38
+# trials at the byte guard's n = 6,688, and any single matrix the byte
+# guard admits (47 s at n = 6,688).
+SCAN_ROW_S = 3e-4
+SCAN_ENTRY_S = 1e-6
+SCAN_MAX_SECONDS = 3600
 
 
 def prepare(
-    model: JointModel, n: int, d: int, plan: TrialPlan, plans: CountPlans
+    model: JointModel,
+    n: int,
+    d: int,
+    plan: TrialPlan,
+    plans: CountPlans,
+    pairs: Optional[int] = None,
 ) -> list[PreparedDetector]:
     """``plan.detectors`` bound to ``model`` and n x d databases, in plan
     order, from :data:`DETECTORS`; a name given twice shares one detector.
-    The ``detect`` subcommand and the risk harness both bind detectors here.
-    The count test takes its plan from ``plans`` when its threshold is
-    first settled.  Detectors whose LLR arrays would exceed
-    ``LLR_MAX_BYTES`` raise ``CapacityError``, by arithmetic alone, and n
-    or d below 1 raises ``ValidationError``."""
+    The ``detect`` subcommand (one pair) and the risk harness (``pairs``
+    defaults to a point's ``2 trials``) both bind detectors here.  The
+    count test takes its plan from ``plans`` when its threshold is first
+    settled.  Detectors whose LLR arrays would exceed ``LLR_MAX_BYTES``, or
+    a scan test whose ``pairs`` solves are priced above
+    ``SCAN_MAX_SECONDS``, raise ``CapacityError``, by arithmetic alone, and
+    n or d below 1 raises ``ValidationError``."""
     for name, value in (("n", n), ("d", d)):
         if value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
@@ -222,6 +249,14 @@ def prepare(
         raise CapacityError(
             f"{' and '.join(readers)} at n={n} would hold {8 * n * n * matrices} "
             f"bytes of n x n LLR arrays, above the {LLR_MAX_BYTES}-byte guard"
+        )
+    if pairs is None:
+        pairs = 2 * plan.trials
+    price = pairs * (SCAN_ROW_S * n + SCAN_ENTRY_S * n * n)
+    if "glrt" in prepared and price > SCAN_MAX_SECONDS:
+        raise CapacityError(
+            f"glrt at n={n} would solve {pairs} assignments priced at "
+            f"{price:.1f} s, above the {SCAN_MAX_SECONDS} s guard"
         )
     return [prepared[name] for name in plan.detectors]
 
@@ -251,8 +286,11 @@ def point_work(plan: TrialPlan, n: int, d: int) -> int:
 # run's process pool when it has two or more workers; smaller ones run in
 # process.  Seconds per Gaussian point (rho = 0.25, pd_samples = 2000), in
 # process / on a started pool of 2 workers, best of 3, 2-vCPU Xeon, numpy
-# 2.4.6; glrt in one block per worker (see BLOCKS_PER_WORKER).  The pool's
-# start, about 0.5 s, is paid once per process:
+# 2.4.6; glrt in one block per worker (see BLOCKS_PER_WORKER), at its default
+# tau = 0, re-timed (best of two such runs) since the greedy assignment
+# certifies its trials: in process its times fell 2-21 fold, and no cell
+# changed sides of the rule.  The pool's start, about 0.5 s, is paid once
+# per process:
 #   detector  n    d    trials  work    in process  pool
 #   sum       30   10   40      4.8e4   0.006       0.009
 #   sum       100  10   40      1.6e5   0.010       0.009
@@ -262,11 +300,11 @@ def point_work(plan: TrialPlan, n: int, d: int) -> int:
 #   count     100  100  10      6.0e5   0.030       0.031
 #   count     100  2    40      8.3e5   0.015       0.014
 #   count     100  100  40      2.4e6   0.077       0.049
-#   glrt      30   10   160     4.8e5   0.105       0.132
-#   glrt      100  2    40      8.3e5   0.36        0.24
-#   glrt      30   10   640     1.9e6   0.39        0.33
-#   glrt      300  10   10      1.9e6   0.73        0.52
-#   glrt      100  10   160     3.8e6   0.67        0.41
+#   glrt      30   10   160     4.8e5   0.051       0.023
+#   glrt      100  2    40      8.3e5   0.017       0.014
+#   glrt      30   10   640     1.9e6   0.089       0.060
+#   glrt      300  10   10      1.9e6   0.047       0.035
+#   glrt      100  10   160     3.8e6   0.070       0.041
 # Below 1e6 the pool loses or ties in some cell, above it it wins in all.
 POOL_MIN_WORK = 1_000_000
 # trial blocks per worker of a pooled point without a stacked detector, so
@@ -316,7 +354,10 @@ def run_unit(
     trials of risk point ``point_index`` of ``plan`` at (n, d) (see
     :func:`_point_records`): the work unit, in process or in a worker
     process, from picklable inputs alone.  It binds the point's detectors
-    itself; their thresholds are settled by the caller."""
+    itself; their thresholds are settled by the caller.  A stacked
+    detector's statistic may be a bound that decides ``statistic >= cut``
+    as the exact one does (the scan test's certified trials, see
+    ``PreparedGlrt.evaluate_stack``); only the decisions are used."""
     detectors = prepare(model, n, d, plan, count_plans(plan, (model,)))
     unique = list(dict.fromkeys(detectors))
     stacked = [det for det in unique if det.stacked]

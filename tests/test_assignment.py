@@ -5,7 +5,7 @@ one matrix and for each matrix of a stack."""
 import numpy as np
 import pytest
 
-from dbdetect.assignment import backend, solve_max
+from dbdetect.assignment import backend, greedy_max, solve_max
 from dbdetect.errors import ValidationError
 from dbdetect.models import make_bernoulli, pair_llr_matrix, sample_alt, sample_null
 
@@ -138,6 +138,25 @@ def test_lead_shape_is_kept():
     assert_stack_equals_scalar_loop(stack)
 
 
+def test_only_solves_the_chosen_matrices():
+    """``only`` picks matrices by their position in the flattened lead
+    shape, in any order, and each gets the map and value it gets alone,
+    bit for bit; an empty pick solves nothing."""
+    rng = np.random.default_rng(8)
+    kinds = list(MATRICES.values())
+    stack = np.stack([kinds[i % 3](rng, 13) for i in range(6)]).reshape(2, 3, 13, 13)
+    flat = stack.reshape(6, 13, 13)
+    only = np.array([4, 0, 3])
+    sigma, values = solve_max(stack, only)
+    assert sigma.shape == (3, 13) and values.shape == (3,)
+    for k, index in enumerate(only):
+        alone_sigma, alone_value = solve_max(flat[index])
+        np.testing.assert_array_equal(sigma[k], alone_sigma)
+        assert values[k] == alone_value
+    sigma, values = solve_max(stack, [])
+    assert sigma.shape == (0, 13) and values.shape == (0,)
+
+
 def test_single_matrix_returns_a_float():
     sigma, value = solve_max(np.array([[2.0, 5.0], [4.0, 1.0]]))
     assert isinstance(value, float)
@@ -161,6 +180,37 @@ def test_non_finite_entry_in_one_matrix_of_a_stack(bad):
     stack[3, 2, 1] = bad
     with pytest.raises(ValidationError, match="finite"):
         solve_max(stack)
+
+
+def scalar_greedy(w):
+    """Row-order greedy assignment as a plain loop: each row takes the first
+    largest weight among the free columns; the value summed in row order,
+    and the sum of the rows' largest absolute weights."""
+    free = list(range(len(w)))
+    value = reach = 0.0
+    for row in w.tolist():
+        col = max(free, key=lambda j: (row[j], -j))
+        free.remove(col)
+        value += row[col]
+        reach += max(abs(x) for x in row)
+    return value, reach
+
+
+@pytest.mark.parametrize("kind", MATRICES)
+def test_greedy_equals_the_scalar_loop_and_bounds_the_maximum(kind):
+    """Each matrix's greedy figures are those of the scalar loop bit for
+    bit, whatever else its stack holds, and the value is a feasible
+    assignment's, so it stays below the optimum."""
+    rng = np.random.default_rng(20 + list(MATRICES).index(kind))
+    for n in SIZES:
+        stack = np.stack([MATRICES[kind](rng, n) for _ in range(5)])
+        values, reach = greedy_max(stack)
+        expected = np.array([scalar_greedy(w) for w in stack])
+        assert values.tolist() == expected[:, 0].tolist()
+        assert reach.tolist() == expected[:, 1].tolist()
+        alone = [greedy_max(stack[k : k + 1]) for k in range(len(stack))]
+        assert [v.item() for v, _ in alone] == values.tolist()
+        assert np.all(values <= solve_max(stack)[1] + 1e-9 * reach)
 
 
 def test_backend_reported():

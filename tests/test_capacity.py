@@ -13,13 +13,14 @@ import types
 import numpy as np
 import pytest
 
-from dbdetect import detectors
+from dbdetect import detectors, experiments
 from dbdetect.cli import main
 from dbdetect.config import write_matrix_csv
 from dbdetect.detectors import NP_ORACLE_MAX_N, PreparedNpOracle, _exact_pd, _mapped_stack
 from dbdetect.errors import CapacityError
 from dbdetect.experiments import (
     LLR_MAX_BYTES,
+    SCAN_MAX_SECONDS,
     SweepGrid,
     TrialPlan,
     count_plans,
@@ -50,6 +51,20 @@ def detect_binding(*detectors):
     return functools.partial(
         prepare, plan.model, LARGE_N, 1, plan, count_plans(plan, (plan.model,))
     )
+
+
+def scan_binding(n, pairs, seconds):
+    """Binding the scan test to n x 1 databases for ``pairs`` pairs, as a
+    risk point (``2 trials``) or ``detect`` (one pair) does, under a time
+    budget of ``seconds``."""
+    plan = large_plan("glrt")
+
+    def bind():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "SCAN_MAX_SECONDS", seconds)
+            prepare(plan.model, n, 1, plan, count_plans(plan, (plan.model,)), pairs)
+
+    return bind
 
 
 def wide_law():
@@ -90,6 +105,14 @@ GUARDED = {
     ),
     "detect-count": lambda: detect_binding("count"),
     "detect-glrt": lambda: detect_binding("sum", "glrt"),
+    # the scan test's time guard: 200 solves at n = 6,000, priced at 2.1 hours,
+    # within the byte guard
+    "risk-glrt-time": lambda: functools.partial(
+        estimate_risk,
+        TrialPlan(model=gauss(0.5), n=6_000, d=1, trials=100, detectors=("glrt",)),
+    ),
+    # one solve at n = 2,000, priced at 4.6 s, under a 1 s budget
+    "detect-glrt-time": lambda: scan_binding(2_000, 1, 1.0),
 }
 
 
@@ -186,6 +209,53 @@ def test_command_line_refusal(command, tmp_path, capsys):
         assert code == 2
         assert err.startswith("capacity error: ") and err.count("\n") == 1
         assert "byte guard" in err
+
+
+def test_scan_time_guard_arithmetic():
+    """The price is SCAN_ROW_S n + SCAN_ENTRY_S n^2 seconds a solve: the
+    CLI's default 2,000 trials fit at n = 810 and not one row more, and
+    one matrix at the byte guard's n = 6,688 fits."""
+    assert SCAN_MAX_SECONDS == 3600
+    for n, pairs in ((810, 4_000), (6_688, 1)):
+        scan_binding(n, pairs, SCAN_MAX_SECONDS)()
+    with pytest.raises(CapacityError, match="3600 s guard"):
+        scan_binding(811, 4_000, SCAN_MAX_SECONDS)()
+
+
+@pytest.mark.parametrize("command", ["risk", "sweep", "detect"])
+def test_command_line_scan_time_refusal(command, tmp_path, capsys, monkeypatch):
+    """Under a 1 s budget, 40 solves at n = 100 (priced 1.6 s) or one at
+    n = 2,000 (4.6 s) are refused before any draw: ``risk`` and
+    ``detect`` exit 2 with one line, and a sweep warns of the point."""
+    monkeypatch.setattr(experiments, "SCAN_MAX_SECONDS", 1.0)
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        PLAN.format(n=100, detectors="glrt").replace("trials = 1", "trials = 20")
+    )
+    if command == "detect":
+        (tmp_path / "model.txt").write_text("kind = gaussian\nrho = 0.5\n")
+        for name in ("X.csv", "Y.csv"):
+            write_matrix_csv(str(tmp_path / name), np.zeros((2_000, 1)))
+        args = ["detect", "--model", tmp_path / "model.txt", "--x", tmp_path / "X.csv",
+                "--y", tmp_path / "Y.csv", "--detector", "glrt"]
+    else:
+        args = [command, "--plan", plan]
+    code = main([str(a) for a in args] + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if command == "sweep":
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: sweep point param=None n=100 d=1 failed: glrt at n=100 would "
+            "solve 40 assignments priced at 1.6 s, above the 1.0 s guard",
+            "warning: 1 sweep point(s) failed",
+        ]
+    else:
+        n, pairs, price = (2_000, 1, 4.6) if command == "detect" else (100, 40, 1.6)
+        assert code == 2
+        assert err == (
+            f"capacity error: glrt at n={n} would solve {pairs} assignments "
+            f"priced at {price} s, above the 1.0 s guard\n"
+        )
 
 
 def test_refused_memory_map_is_a_capacity_error(monkeypatch):

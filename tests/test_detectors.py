@@ -60,6 +60,7 @@ from helpers import (
     full_chunk_monte_carlo_pd,
     gauss,
     independent_model,
+    load_perfbench_worker,
     per_pair_log_permanent_ratio,
     permutation_log_statistic,
     random_discrete_model,
@@ -145,6 +146,96 @@ class TestGLRT:
         with pytest.raises(DomainError) as err:
             run()
         assert str(err.value) == message
+
+
+SCAN_STACK_KINDS = ("continuous", "tie-heavy", "near-diagonal")
+
+
+def scan_test_stack(kind, rng, count, n, d):
+    """``count`` pair LLR matrices at (n, d) and the model they are read
+    with: continuous (Gaussian null pairs), tie-heavy (Bernoulli null pairs,
+    whose entries take d + 1 values) or near-diagonal (aligned Gaussian
+    pairs at rho = 0.95, where the greedy assignment is the identity and
+    its value the maximum's up to summation order)."""
+    if kind == "tie-heavy":
+        model = make_bernoulli(0.6, 0.3)
+        x, y = (rng.integers(0, 2, size=(count, n, d)) for _ in range(2))
+    else:
+        model = gauss(0.95 if kind == "near-diagonal" else 0.5)
+        x = rng.normal(size=(count, n, d))
+        y = rng.normal(size=(count, n, d))
+        if kind == "near-diagonal":
+            y = model.rho * x + math.sqrt(1.0 - model.rho**2) * y
+    return model, pair_llr_matrix(model, x, y)
+
+
+class TestCertifiedScanDecisions:
+    """The harness's scan statistics (``PreparedGlrt.evaluate_stack``)
+    certify a matrix by its greedy assignment and solve the others; each
+    decides ``statistic >= cut`` as the exact statistic does."""
+
+    @pytest.mark.parametrize("kind", SCAN_STACK_KINDS)
+    def test_decides_as_the_exact_statistic_at_its_own_threshold(
+        self, kind, monkeypatch
+    ):
+        """At a threshold equal to each matrix's exact statistic and one
+        ulp either side, every matrix of the stack decides as its exact
+        statistic does, and every matrix that reached the solver records
+        that statistic bit for bit."""
+        solved = []
+        solve = detectors.solve_max
+
+        def spy(weights, only=None):
+            solved.extend(range(len(weights)) if only is None else only.tolist())
+            return solve(weights, only)
+
+        monkeypatch.setattr(detectors, "solve_max", spy)
+        rng = np.random.default_rng(SCAN_STACK_KINDS.index(kind))
+        checks = outcomes = 0
+        for n in (2, 3, 4, 5, 6, 8, 10, 12):
+            for d in (1, 2, 3, 4):
+                model, stack = scan_test_stack(kind, rng, 12, n, d)
+                exact = solve(stack)[1] / (d * n)
+                below, above = np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf)
+                for tau in np.concatenate([below, exact, above]).tolist():
+                    solved.clear()
+                    got = detectors.PreparedGlrt(model, n, d, tau).evaluate_stack(stack)
+                    np.testing.assert_array_equal(got >= tau, exact >= tau)
+                    np.testing.assert_array_equal(got[solved], exact[solved])
+                    checks += got.size
+                    outcomes += (got >= tau).sum()
+        assert 0 < outcomes < checks
+
+    def test_certified_trials_skip_the_solver_on_the_benchmark_scan_plans(
+        self, monkeypatch
+    ):
+        """On the seed-0 plans of the benchmark's ``mc-scan`` workload, no
+        Gaussian matrix reaches ``solve_max``: every greedy assignment
+        clears the cut 0.  Of the Bernoulli point's matrices only its eight
+        null ones do."""
+        solved = []
+        solve = detectors.solve_max
+
+        def spy(weights, only=None):
+            stack = weights.reshape(-1, *weights.shape[-2:])
+            solved.append(stack if only is None else stack[only])
+            return solve(weights, only)
+
+        monkeypatch.setattr(detectors, "solve_max", spy)
+        for op in load_perfbench_worker().build_ops("mc-scan", 0, tiny=False):
+            plan = op.plan
+            solved.clear()
+            estimate_risk(plan, threads=1)
+            if isinstance(plan.model, GaussianModel):
+                assert solved == []
+                continue
+            nulls = []
+            for trial in range(plan.trials):
+                stream = rngmod.substream(plan.seed, rngmod.RISK_NULL, 0, trial)
+                pair = sample_null_rng(plan.model, plan.n, plan.d, stream)
+                nulls.append(pair_llr_matrix(plan.model, pair.x, pair.y))
+            (stack,) = solved
+            np.testing.assert_array_equal(stack, np.stack(nulls))
 
 
 class TestSumTest:

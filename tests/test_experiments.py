@@ -627,6 +627,34 @@ class TestRecordsContract:
         # both hypotheses and both outcomes occur, so the check has teeth
         assert got.any() and not got.all()
 
+    @pytest.mark.parametrize("on_pool", [False, True], ids=["in-process", "pooled"])
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            # null statistics 0.101-0.173, dependent ones 0.157-0.220; the
+            # greedy assignment certifies 4 of the 24 matrices
+            TrialPlan(
+                model=gauss(0.5), n=20, d=10, trials=12, seed=24,
+                detectors=("glrt",), tau_glrt=0.16,
+            ),
+            # null statistics 0.012-0.040, median 0.0269; 12 of 24 certified
+            TrialPlan(
+                model=make_bernoulli(0.6, 0.3), n=20, d=30, trials=12, seed=25,
+                detectors=("glrt",), tau_glrt=0.027,
+            ),
+        ],
+        ids=["gaussian-between", "bernoulli-null-median"],
+    )
+    def test_scan_decisions_inside_the_statistic_range(self, plan, on_pool):
+        """At a cut inside the range of the scan statistics, where the
+        greedy assignment certifies some matrices and the solver decides
+        the rest, every decision is the public detector's, and the glrt
+        row shows both outcomes."""
+        got_thresholds, got, thresholds, expected = public_decisions(plan, on_pool)
+        assert got_thresholds == thresholds
+        assert np.array_equal(got, expected)
+        assert got[:, 0].any() and not got[:, 0].all()
+
 
 class TestNanThresholds:
     @pytest.mark.parametrize("field", ["tau_glrt", "tau_sum", "tau_count"])
