@@ -61,6 +61,7 @@ def cmd_validate(args) -> int:
 def cmd_sample(args) -> int:
     model = cfg.load_model(args.model)
     experiments.check_setting("seed", args.seed)
+    experiments.check_draws(args.n, args.d, risk_point=False)
     if args.hypothesis == "null":
         pair = sample_null(model, args.n, args.d, args.seed)
     else:

@@ -283,11 +283,10 @@ def load_plan(path: str, flags: Optional[dict] = None) -> TrialPlan:
 def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix)
     n, d = matrix.shape
-    lines = ["n,d", f"{n},{d}"]
-    for row in matrix:
-        lines.append(",".join(format(float(v), ".17g") for v in row))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f"n,d\n{n},{d}\n")
+        for row in matrix:
+            handle.write(",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

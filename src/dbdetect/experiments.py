@@ -195,8 +195,10 @@ def count_plans(plan: TrialPlan, models: Sequence[JointModel]) -> CountPlans:
 # before its first draw: 8 n^2 for the LLR matrix that count, glrt and
 # np-oracle read, and 16 n^2 more for a block's smallest stack of the
 # stacked ones (one trial's two matrices).  The sum test reads no matrix.
-# 1 GiB admits count up to n = 11,585 and glrt up to n = 6,688
-LLR_MAX_BYTES = 1 << 30
+# 1 GiB admits count up to n = 11,585 and glrt up to n = 6,688.  The same
+# budget bounds the n x d arrays a risk point or a sample call draws into,
+# checked after the scan test's time guard (see check_draws)
+ARRAY_MAX_BYTES = 1 << 30
 # the scan test's time guard, checked after the byte guard: a risk point or
 # detect call is refused when its assignments, each priced at SCAN_ROW_S n +
 # SCAN_ENTRY_S n^2 seconds as if solved alone and never certified, would
@@ -230,10 +232,11 @@ def prepare(
     The ``detect`` subcommand (one pair) and the risk harness (``pairs``
     defaults to a point's ``2 trials``) both bind detectors here.  The
     count test takes its plan from ``plans`` when its threshold is first
-    settled.  Detectors whose LLR arrays would exceed ``LLR_MAX_BYTES``, or
-    a scan test whose ``pairs`` solves are priced above
-    ``SCAN_MAX_SECONDS``, raise ``CapacityError``, by arithmetic alone, and
-    n or d below 1 raises ``ValidationError``."""
+    settled.  Detectors whose LLR arrays would exceed ``ARRAY_MAX_BYTES``, a
+    scan test whose ``pairs`` solves are priced above ``SCAN_MAX_SECONDS``,
+    or a risk point (``pairs`` not given) whose draws would exceed
+    ``ARRAY_MAX_BYTES`` (see :func:`check_draws`) raise ``CapacityError``,
+    by arithmetic alone, and n or d below 1 raises ``ValidationError``."""
     for name, value in (("n", n), ("d", d)):
         if value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
@@ -245,12 +248,13 @@ def prepare(
         name for name, det in prepared.items() if not isinstance(det, PreparedSum)
     ]
     matrices = bool(readers) + 2 * any(det.stacked for det in prepared.values())
-    if 8 * n * n * matrices > LLR_MAX_BYTES:
+    if 8 * n * n * matrices > ARRAY_MAX_BYTES:
         raise CapacityError(
             f"{' and '.join(readers)} at n={n} would hold {8 * n * n * matrices} "
-            f"bytes of n x n LLR arrays, above the {LLR_MAX_BYTES}-byte guard"
+            f"bytes of n x n LLR arrays, above the {ARRAY_MAX_BYTES}-byte guard"
         )
-    if pairs is None:
+    risk_point = pairs is None
+    if risk_point:
         pairs = 2 * plan.trials
     price = pairs * (SCAN_ROW_S * n + SCAN_ENTRY_S * n * n)
     if "glrt" in prepared and price > SCAN_MAX_SECONDS:
@@ -258,7 +262,29 @@ def prepare(
             f"glrt at n={n} would solve {pairs} assignments priced at "
             f"{price:.1f} s, above the {SCAN_MAX_SECONDS} s guard"
         )
+    if risk_point:
+        check_draws(n, d, risk_point=True)
     return [prepared[name] for name in plan.detectors]
+
+
+def check_draws(n: int, d: int, risk_point: bool) -> None:
+    """Refuse, by arithmetic alone and before any draw, to draw n x d
+    databases whose arrays would exceed ``ARRAY_MAX_BYTES``.
+
+    A sample call is priced at 5 arrays of 8 n d bytes.  Traced with
+    tracemalloc at n = 300, d = 400, the dependent samplers' peak was 4.0
+    such arrays for the Gaussian family and 4.1 for a discrete law (the
+    null samplers' 2.0 and 3.2), and the ``sample`` command's, which writes
+    its CSV files a row at a time, 3.1-4.2.  A risk point holds 4 more: its
+    two (1, n, d) slabs and the pair drawn before (``run_unit`` traced
+    8.0-8.1 with the sum test).  At small n and d its slabs hold more pairs,
+    but fit ``SUB_BLOCK_BYTES``."""
+    size = 8 * n * d * (9 if risk_point else 5)
+    if size > ARRAY_MAX_BYTES:
+        raise CapacityError(
+            f"drawing n={n} by d={d} databases would hold {size} bytes of n x d "
+            f"arrays, above the {ARRAY_MAX_BYTES}-byte guard"
+        )
 
 
 def thread_count(override: Optional[int] = None) -> int:
@@ -324,7 +350,10 @@ LLR_STACK_BYTES = 1 << 25
 # a time, in one pair_llr_matrix call.  At n = 100 a sub-block is one pair,
 # so no array is larger than a single pair's: sub-blocks of 13 pairs there
 # (1 MiB) raised the peak RSS of the benchmark's mc-scan workload from
-# 42.3-42.8 to 49.5-51.1 MB, and of mc-sum-count from 71.7 to 77.8-79.6 MB.
+# 42.3-42.8 to 49.5-51.1 MB, and of mc-sum-count from 71.7 to 77.8-79.6 MB
+# while its points ran in process.  On two or more cores they now run on
+# the worker pool, and the benchmark reads the peak RSS of its own process
+# only, so no mc-sum-count slab shows in it.
 # The oracle point of the benchmark's exact workload (n = 8, d = 10, 100
 # pairs, 2-vCPU machine) took the same time in sub-blocks of 25 pairs (this
 # budget) as in one of 100, and 4 % longer in ones of 6; the workload's

@@ -326,8 +326,16 @@ def pair_llr_matrix(model: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarr
     give ``(..., n, n)``, each matrix bit for bit that of its pair alone.
 
     Evaluated with dense linear algebra: one BLAS product a pair for the
-    Gaussian quadratic form, or one a pair and alphabet cell for discrete
-    models.
+    Gaussian quadratic form.  A discrete matrix is ``sum_ab table[a, b]
+    N_ab`` over the co-occurrence counts ``N_ab[i, j]`` of the feature
+    pairs ``(a, b)`` of rows x[i] and y[j]: the (m - 1)^2 counts with a, b
+    < m - 1 are one-hot BLAS products, the rest follow from the rows'
+    symbol counts (``N_{a,m-1} = cx_a - sum_b N_ab`` and ``N_{m-1,b} = cy_b
+    - sum_a N_ab``), and the terms are added in row-major (a, b) order.
+    Every count is an integer of at most d, exact in float64, so the matrix
+    has the bits of the m^2 products summed in that order.  A Bernoulli pair
+    takes one product; at its peak the call holds m + 3 arrays of the
+    result's shape.
     """
     if isinstance(model, DiscreteJointModel):
         model.require_mutual_continuity("pair_llr_matrix")
@@ -352,12 +360,25 @@ def pair_llr_matrix(model: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarr
             model.rho, x.shape[-1], rx[..., :, None], ry[..., None, :], x @ y_t
         )
     table = model.llr_table
+    last = model.alphabet_size - 1
+    x_hot = [(x == a).astype(np.float64) for a in range(last)]
+    y_hot = [(y_t == b).astype(np.float64) for b in range(last)]
+    # the rows' symbol counts, the last symbol's by difference
+    cx = [xa.sum(axis=-1)[..., :, None] for xa in x_hot]
+    cy = [yb.sum(axis=-2)[..., None, :] for yb in y_hot]
+    cx.append(x.shape[-1] - sum(cx, 0.0))
+    # N_{last,b} = cy_b - sum_a N_ab, completed as the products arrive
+    last_row = list(cy)
     out = np.zeros(x.shape[:-1] + y.shape[-2:-1])
-    y_hot = [(y_t == b).astype(np.float64) for b in range(model.alphabet_size)]
-    for a in range(model.alphabet_size):
-        xa = (x == a).astype(np.float64)
-        for b, yb in enumerate(y_hot):
-            out += table[a, b] * (xa @ yb)
+    for a in range(last + 1):
+        row = cx[a]  # N_{a,last} = cx_a - sum_b N_ab
+        for b in range(last):
+            count = x_hot[a] @ y_hot[b] if a < last else last_row[b]
+            out += table[a, b] * count
+            row = row - count
+            if a < last:
+                last_row[b] = last_row[b] - count
+        out += table[a, last] * row
     return out
 
 
@@ -367,8 +388,14 @@ def pair_llr_matrix(model: JointModel, x: np.ndarray, y: np.ndarray) -> np.ndarr
 
 
 def _draw_marginal(model: DiscreteJointModel, rng, shape) -> np.ndarray:
+    """Symbols by inversion of the marginal CDF: each uniform u counts the
+    CDF entries at or below it, as ``searchsorted(cdf, u, side="right")``
+    does; the last entry, exactly 1, lies above every u < 1."""
     u = rng.random(shape)
-    return np.searchsorted(model.marginal_cdf, u, side="right").astype(np.int64)
+    symbols = np.zeros(shape, np.int64)
+    for level in model.marginal_cdf[:-1]:
+        symbols += u >= level
+    return symbols
 
 
 def sample_null_rng(
@@ -412,8 +439,10 @@ def sample_alt_rng(
     else:
         x = _draw_marginal(model, rng, (n, d))
         u = rng.random((n, d))
-        cond_cdf = model.conditional_cdf[x]  # (n, d, m)
-        paired = (cond_cdf <= u[..., None]).sum(axis=-1).astype(np.int64)
+        # inversion of the conditional CDF of row x, as for the marginal
+        paired = np.zeros((n, d), np.int64)
+        for levels in model.conditional_cdf[:, :-1].T:
+            paired += levels.take(x) <= u
     y = np.empty_like(paired)
     y[sigma] = paired
     pair = DatabasePair(x=x, y=y)

@@ -9,8 +9,11 @@ types, a sum over cycle types instead of the cycle-index recurrence, one
 bounded draw per swap instead of Fisher-Yates's single array draw,
 whole-chunk draws and array expressions instead of the Monte-Carlo pd
 kernel's blocks, a recursion over compositions instead of the exact pd's
-walk over atoms, and the all-pairs Gaussian LLR matrix written out inline
-instead of through the model's shared row-pair formula.
+walk over atoms, the all-pairs Gaussian LLR matrix written out inline
+instead of through the model's shared row-pair formula, m^2 one-hot products
+instead of the discrete LLR matrix's (m - 1)^2 co-occurrence counts, and a
+binary search on the CDF and an (n, d, m) gather instead of the discrete
+samplers' counted comparisons.
 """
 
 import importlib.util
@@ -114,6 +117,43 @@ def gaussian_pair_llr_matrix(rho: float, x: np.ndarray, y: np.ndarray) -> np.nda
     ry = np.einsum("ij,ij->i", yf, yf)
     quad = -rho * rho * (rx[:, None] + ry[None, :]) + 2.0 * rho * (xf @ yf.T)
     return -0.5 * x.shape[1] * math.log(c) + quad / (2.0 * c)
+
+
+def one_hot_pair_llr_matrix(model: DiscreteJointModel, x, y) -> np.ndarray:
+    """The discrete all-pairs LLR matrix (or stack) as m^2 one-hot matrix
+    products, ``out += table[a, b] * ((x == a) @ (y == b).T)`` in row-major
+    (a, b) order.  ``pair_llr_matrix`` forms only (m - 1)^2 of the products
+    and must match this bit for bit."""
+    table = model.llr_table
+    y_t = np.swapaxes(y, -1, -2)
+    out = np.zeros(x.shape[:-1] + y.shape[-2:-1])
+    y_hot = [(y_t == b).astype(np.float64) for b in range(model.alphabet_size)]
+    for a in range(model.alphabet_size):
+        xa = (x == a).astype(np.float64)
+        for b, yb in enumerate(y_hot):
+            out += table[a, b] * (xa @ yb)
+    return out
+
+
+def searchsorted_sample(model: DiscreteJointModel, n: int, d: int, rng, hypothesis):
+    """A discrete pair drawn by binary search on the marginal CDF and, for
+    the dependent pair, by summing the comparisons of an ``(n, d, m)``
+    gather of conditional CDF rows, from the same uniforms in the same
+    order as ``sample_null_rng`` / ``sample_alt_rng``: x, y and sigma."""
+
+    def marginal(shape):
+        u = rng.random(shape)
+        return np.searchsorted(model.marginal_cdf, u, side="right").astype(np.int64)
+
+    if hypothesis == "null":
+        return marginal((n, d)), marginal((n, d)), None
+    sigma = rngmod.fisher_yates(rng, n)
+    x = marginal((n, d))
+    u = rng.random((n, d))
+    paired = (model.conditional_cdf[x] <= u[..., None]).sum(axis=-1).astype(np.int64)
+    y = np.empty_like(paired)
+    y[sigma] = paired
+    return x, y, sigma
 
 
 def gauss_llr_values(rho, x, y):

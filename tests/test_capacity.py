@@ -19,10 +19,11 @@ from dbdetect.config import write_matrix_csv
 from dbdetect.detectors import NP_ORACLE_MAX_N, PreparedNpOracle, _exact_pd, _mapped_stack
 from dbdetect.errors import CapacityError
 from dbdetect.experiments import (
-    LLR_MAX_BYTES,
+    ARRAY_MAX_BYTES,
     SCAN_MAX_SECONDS,
     SweepGrid,
     TrialPlan,
+    check_draws,
     count_plans,
     estimate_risk,
     exact_tv_small,
@@ -65,6 +66,14 @@ def scan_binding(n, pairs, seconds):
             prepare(plan.model, n, 1, plan, count_plans(plan, (plan.model,)), pairs)
 
     return bind
+
+
+def draw_plan(**kwargs):
+    """A sum point at n = 10^7, d = 10^6: it reads no LLR matrix, so only
+    its draws are refused."""
+    return TrialPlan(
+        model=gauss(0.5), n=10**7, d=10**6, trials=1, detectors=("sum",), **kwargs
+    )
 
 
 def wide_law():
@@ -113,6 +122,16 @@ GUARDED = {
     ),
     # one solve at n = 2,000, priced at 4.6 s, under a 1 s budget
     "detect-glrt-time": lambda: scan_binding(2_000, 1, 1.0),
+    # the draw guard: a sum point whose (1, n, d) slabs alone would be 73 TiB
+    "risk-sum-draws": lambda: functools.partial(
+        estimate_risk, draw_plan(), threads=1
+    ),
+    "sweep-sum-draws": lambda: functools.partial(
+        sweep, draw_plan(sweep=SweepGrid(d_values=(10**6, 2 * 10**6))), threads=1
+    ),
+    "sample-draws": lambda: functools.partial(
+        check_draws, 10**7, 10**6, risk_point=False
+    ),
 }
 
 
@@ -138,7 +157,7 @@ def test_byte_guard_arithmetic():
     for detectors, largest in ((("count",), 11_585), (("glrt",), 6_688)):
         plan = large_plan(*detectors)
         plans = count_plans(plan, (plan.model,))
-        assert 8 * largest**2 * (1 + 2 * (detectors == ("glrt",))) <= LLR_MAX_BYTES
+        assert 8 * largest**2 * (1 + 2 * (detectors == ("glrt",))) <= ARRAY_MAX_BYTES
         prepare(plan.model, largest, 1, plan, plans)
         with pytest.raises(CapacityError, match="byte guard"):
             prepare(plan.model, largest + 1, 1, plan, plans)
@@ -159,7 +178,7 @@ def test_refused_sweep_point_is_a_point_error():
     assert (param, n) == (None, LARGE_N)
     assert message == (
         f"count at n={LARGE_N} would hold {8 * LARGE_N**2} bytes of n x n LLR "
-        f"arrays, above the {LLR_MAX_BYTES}-byte guard"
+        f"arrays, above the {ARRAY_MAX_BYTES}-byte guard"
     )
 
 
@@ -202,7 +221,7 @@ def test_command_line_refusal(command, tmp_path, capsys):
         assert err.splitlines() == [
             f"warning: sweep point param=None n={LARGE_N} d=1 failed: glrt and count "
             f"at n={LARGE_N} would hold {24 * LARGE_N**2} bytes of n x n LLR arrays, "
-            f"above the {LLR_MAX_BYTES}-byte guard",
+            f"above the {ARRAY_MAX_BYTES}-byte guard",
             "warning: 1 sweep point(s) failed",
         ]
     else:
@@ -274,3 +293,58 @@ def test_refused_memory_map_is_a_capacity_error(monkeypatch):
     plan = TrialPlan(model=gauss(0.5), n=5, d=2, trials=2, detectors=("glrt",))
     with pytest.raises(CapacityError, match=re.escape("cannot map 800 bytes for a (4, 5, 5)")):
         estimate_risk(plan, threads=1)
+
+
+def test_draw_guard_arithmetic():
+    """A risk point is priced at 9 arrays of 8 n d bytes and a sample call
+    at 5: at d = 1 they fit at n = 14,913,080 and n = 26,843,545 and not one
+    row more.  The n x n guard is checked first."""
+    plan = TrialPlan(model=gauss(0.5), n=10, d=1, trials=1, detectors=("sum",))
+    plans = count_plans(plan, (plan.model,))
+    for largest, arrays in ((14_913_080, 9), (26_843_545, 5)):
+        assert 8 * largest * arrays <= ARRAY_MAX_BYTES < 8 * (largest + 1) * arrays
+        check_draws(largest, 1, risk_point=arrays == 9)
+        with pytest.raises(CapacityError, match="n x d arrays"):
+            check_draws(largest + 1, 1, risk_point=arrays == 9)
+    prepare(plan.model, 14_913_080, 1, plan, plans)
+    with pytest.raises(CapacityError, match="n x d arrays"):
+        prepare(plan.model, 14_913_081, 1, plan, plans)
+    # detect holds its pair already: it is not priced for draws
+    prepare(plan.model, 10**7, 10**6, plan, plans, pairs=1)
+    with pytest.raises(CapacityError, match="n x n LLR arrays"):
+        prepare(plan.model, 10**7, 10**6, large_plan("count"), plans)
+
+
+@pytest.mark.parametrize("command", ["risk", "sweep", "sample"])
+def test_command_line_draw_refusal(command, tmp_path, capsys):
+    """Drawing 1,000 x 10^6 databases is refused before the first draw:
+    ``risk`` and ``sample`` exit 2 with one ``capacity error:`` line, and a
+    sweep reports the point in one warning and exits 0."""
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        PLAN.format(n=1_000, detectors="sum").replace("d = 1\n", "d = 1000000\n")
+        .replace("n = 10 1000", "d = 2 1000000")
+    )
+    if command == "sample":
+        (tmp_path / "model.txt").write_text("kind = gaussian\nrho = 0.5\n")
+        args = ["sample", "--model", tmp_path / "model.txt", "--n", 1_000, "--d",
+                10**6, "--seed", 0, "--out", tmp_path / "s"]
+    else:
+        args = [command, "--plan", plan, "--threads", 1, "--out", tmp_path / "out"]
+    code = main([str(a) for a in args])
+    err = capsys.readouterr().err
+    arrays = 5 if command == "sample" else 9
+    message = (
+        f"drawing n=1000 by d=1000000 databases would hold {8 * 10**9 * arrays} "
+        f"bytes of n x d arrays, above the {ARRAY_MAX_BYTES}-byte guard"
+    )
+    if command == "sweep":
+        assert code == 0
+        assert err.splitlines() == [
+            f"warning: sweep point param=None n=1000 d=1000000 failed: {message}",
+            "warning: 1 sweep point(s) failed",
+        ]
+    else:
+        assert code == 2
+        assert err == f"capacity error: {message}\n"
+    assert not list(tmp_path.glob("s_*"))

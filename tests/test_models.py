@@ -19,7 +19,9 @@ from dbdetect.models import (
     pair_llr_matrix,
     pearson_rho,
     sample_alt,
+    sample_alt_rng,
     sample_null,
+    sample_null_rng,
 )
 
 from helpers import (
@@ -32,7 +34,9 @@ from helpers import (
     gauss_llr_values,
     gaussian_pair_llr_matrix,
     independent_model,
+    one_hot_pair_llr_matrix,
     random_discrete_model,
+    searchsorted_sample,
     with_bad_entry,
 )
 
@@ -317,3 +321,71 @@ class TestDatabasePair:
     def test_dims(self):
         pair = DatabasePair(x=np.zeros((4, 3)), y=np.ones((4, 3)))
         assert (pair.n, pair.d) == (4, 3)
+
+
+# discrete laws on 1 to 4 symbols, which the kernels run through one code
+# path; the samplers also take laws with a symbol of zero mass
+POSITIVE_LAWS = {
+    "m1": lambda: DiscreteJointModel(joint=[[1.0]]),
+    "bernoulli": lambda: make_bernoulli(0.6, 0.3),
+    "diag": diag_model,
+    "m3": lambda: random_discrete_model(np.random.default_rng(3), 3),
+    "m4": lambda: random_discrete_model(np.random.default_rng(4), 4),
+}
+ZERO_MASS_LAWS = {
+    "zero-middle": lambda: DiscreteJointModel(
+        joint=[[0.4, 0.0, 0.1], [0.0, 0.0, 0.0], [0.1, 0.0, 0.4]]
+    ),
+    "zero-first": lambda: DiscreteJointModel(
+        joint=[[0.0, 0.0, 0.0], [0.0, 0.3, 0.2], [0.0, 0.2, 0.3]]
+    ),
+    "zero-last": lambda: DiscreteJointModel(
+        joint=[[0.25, 0.1, 0.0], [0.1, 0.55, 0.0], [0.0, 0.0, 0.0]]
+    ),
+}
+SIZES = [(n, d) for n in (1, 8, 100) for d in (1, 10, 100)]
+
+
+class TestDiscreteKernelOracles:
+    """The discrete samplers and LLR matrix against the expressions they
+    replaced (``helpers``): the same bytes, and the same generator state
+    after a draw."""
+
+    @pytest.mark.parametrize("hypothesis", ["null", "alt"])
+    @pytest.mark.parametrize("law", sorted({**POSITIVE_LAWS, **ZERO_MASS_LAWS}))
+    def test_samplers_match_searchsorted_draws(self, law, hypothesis):
+        model = {**POSITIVE_LAWS, **ZERO_MASS_LAWS}[law]()
+        sampler = sample_null_rng if hypothesis == "null" else sample_alt_rng
+        for seed, (n, d) in enumerate(SIZES):
+            rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+            pair = sampler(model, n, d, rng)
+            x, y, sigma = searchsorted_sample(model, n, d, oracle_rng, hypothesis)
+            for got, expected in ((pair.x, x), (pair.y, y)):
+                assert got.dtype == np.int64 and got.shape == (n, d)
+                assert got.tobytes() == expected.tobytes()
+            if sigma is None:
+                assert pair.hidden_sigma is None
+            else:
+                assert np.array_equal(pair.hidden_sigma, sigma)
+            assert rng.random(4).tobytes() == oracle_rng.random(4).tobytes()
+
+    @pytest.mark.parametrize("law", sorted(POSITIVE_LAWS))
+    def test_llr_matrix_matches_one_hot_products(self, law):
+        model = POSITIVE_LAWS[law]()
+        m = model.alphabet_size
+        rng = np.random.default_rng(m)
+        shapes = [((n, d), (n, d)) for n, d in SIZES]
+        shapes += [((k, n, d), (k, n, d)) for k in (1, 3) for n, d in SIZES]
+        shapes += [((4, 10), (7, 10)), ((2, 5, 3), (2, 6, 3))]
+        for x_shape, y_shape in shapes:
+            x = rng.integers(0, m, size=x_shape)
+            y = rng.integers(0, m, size=y_shape)
+            got = pair_llr_matrix(model, x, y)
+            assert got.tobytes() == one_hot_pair_llr_matrix(model, x, y).tobytes()
+        # rows of one symbol only: every other count is zero
+        for a in range(m):
+            x = np.full((6, 9), a)
+            y = rng.integers(0, m, size=(6, 9))
+            for pair in ((x, y), (y, x)):
+                got = pair_llr_matrix(model, *pair)
+                assert got.tobytes() == one_hot_pair_llr_matrix(model, *pair).tobytes()
